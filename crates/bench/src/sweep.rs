@@ -4,7 +4,8 @@
 
 use isrl_core::prelude::*;
 use isrl_data::{real, skyline, synthetic, Dataset, Distribution};
-use parking_lot::Mutex;
+use std::collections::VecDeque;
+use std::sync::{Mutex, MutexGuard};
 
 /// Skyline preprocessing is skipped above this dimensionality: in high
 /// dimension nearly every anti-correlated point is a skyline point, so the
@@ -206,6 +207,17 @@ fn item_seed(base: u64, cell: usize, algo: usize, user: usize) -> u64 {
 /// phase, then locked per evaluation item (agents are stateful).
 type AgentSlots = Vec<Vec<Mutex<Option<Box<dyn InteractiveAlgorithm + Send>>>>>;
 
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock()
+        .expect("a sweep worker panicked while holding this lock")
+}
+
+/// Pops the next work item; the queue lock is released before the item
+/// runs.
+fn pop<T>(queue: &Mutex<VecDeque<T>>) -> Option<T> {
+    lock(queue).pop_front()
+}
+
 fn worker_count(items: usize) -> usize {
     std::thread::available_parallelism()
         .map_or(4, |n| n.get())
@@ -241,43 +253,44 @@ fn run_cells(
         .iter()
         .map(|(_, _, kinds)| kinds.iter().map(|_| Mutex::new(None)).collect())
         .collect();
-    let train_queue: crossbeam::queue::SegQueue<(usize, usize)> = crossbeam::queue::SegQueue::new();
-    for (c, (_, _, kinds)) in cells.iter().enumerate() {
-        for a in 0..kinds.len() {
-            train_queue.push((c, a));
-        }
-    }
-    crossbeam::scope(|scope| {
-        for _ in 0..worker_count(train_queue.len()) {
-            scope.spawn(|_| {
-                while let Some((c, a)) = train_queue.pop() {
+    let train_items: VecDeque<(usize, usize)> = cells
+        .iter()
+        .enumerate()
+        .flat_map(|(c, (_, _, kinds))| (0..kinds.len()).map(move |a| (c, a)))
+        .collect();
+    let workers = worker_count(train_items.len());
+    let train_queue = Mutex::new(train_items);
+    std::thread::scope(|scope| {
+        for _ in 0..workers {
+            scope.spawn(|| {
+                while let Some((c, a)) = pop(&train_queue) {
                     let (data, eps, kinds) = cells[c];
-                    *agents[c][a].lock() = Some(make_algo(kinds[a], data, eps, params));
+                    *lock(&agents[c][a]) = Some(make_algo(kinds[a], data, eps, params));
                 }
             });
         }
-    })
-    .expect("training worker panicked");
+    });
 
     // Phase 2 — evaluation queue over (cell, algo, user).
     type UserResult = (usize, usize, usize, InteractionOutcome, f64);
-    let eval_queue: crossbeam::queue::SegQueue<(usize, usize, usize)> =
-        crossbeam::queue::SegQueue::new();
+    let mut eval_items: VecDeque<(usize, usize, usize)> = VecDeque::new();
     for (c, (_, _, kinds)) in cells.iter().enumerate() {
         for a in 0..kinds.len() {
             for u in 0..users[c].len() {
-                eval_queue.push((c, a, u));
+                eval_items.push_back((c, a, u));
             }
         }
     }
+    let workers = worker_count(eval_items.len());
+    let eval_queue = Mutex::new(eval_items);
     let results: Mutex<Vec<UserResult>> = Mutex::new(Vec::new());
-    crossbeam::scope(|scope| {
-        for _ in 0..worker_count(eval_queue.len()) {
-            scope.spawn(|_| {
-                while let Some((c, a, u)) = eval_queue.pop() {
+    std::thread::scope(|scope| {
+        for _ in 0..workers {
+            scope.spawn(|| {
+                while let Some((c, a, u)) = pop(&eval_queue) {
                     let (data, eps, kinds) = cells[c];
                     let truth = &users[c][u];
-                    let mut guard = agents[c][a].lock();
+                    let mut guard = lock(&agents[c][a]);
                     let algo = guard.as_mut().expect("trained in phase 1");
                     algo.reseed(item_seed(params.seed, c, a, u));
                     let mut user = SimulatedUser::new(truth.clone());
@@ -300,15 +313,16 @@ fn run_cells(
                                 .field("truncated", out.truncated),
                         );
                     }
-                    results.lock().push((c, a, u, out, regret));
+                    lock(&results).push((c, a, u, out, regret));
                 }
             });
         }
-    })
-    .expect("evaluation worker panicked");
+    });
 
     // Reassemble per-(cell, algo) evaluations in user order.
-    let mut per_user = results.into_inner();
+    let mut per_user = results
+        .into_inner()
+        .expect("a sweep worker panicked while holding the results");
     per_user.sort_by_key(|&(c, a, u, _, _)| (c, a, u));
     let mut out: Vec<Vec<(AlgoKind, Evaluation)>> = cells
         .iter()

@@ -175,12 +175,6 @@ pub fn candidate_pairs<R: Rng + ?Sized>(
     out
 }
 
-/// Action features for the Q-network: the two points concatenated (`2d`),
-/// identical in layout to EA's encoding.
-pub fn encode_question(data: &Dataset, q: Question) -> Vec<f64> {
-    crate::ea::encode_question(data, q)
-}
-
 /// Distance from `center` to the hyperplane of pair `(i, j)` — exposed for
 /// tests and the ablation benches.
 pub fn hyperplane_distance(data: &Dataset, q: Question, center: &[f64]) -> Option<f64> {

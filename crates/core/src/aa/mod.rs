@@ -13,20 +13,14 @@ mod actions;
 mod session;
 mod state;
 
-pub use actions::{candidate_pairs, encode_question, hyperplane_distance, PairGenConfig};
+pub use actions::{candidate_pairs, hyperplane_distance, PairGenConfig};
 pub use session::AaSession;
 pub use state::AaSummary;
 
-use crate::interaction::{
-    InteractionOutcome, InteractiveAlgorithm, Question, RoundTrace, Stopwatch, TraceMode,
-};
-use crate::telemetry::{emit_episode_event, emit_round_event, EpisodeProfile};
-use crate::user::User;
-use crate::watchdog::TrainingWatchdog;
+use crate::driver::{self, sealed::Sealed, Learner};
+use crate::round::Round;
 use isrl_data::Dataset;
-use isrl_geometry::{Halfspace, RegionGeometry};
-use isrl_linalg::vector;
-use isrl_rl::{Dqn, DqnConfig, EpsilonSchedule, NextState, Transition};
+use isrl_rl::{Dqn, DqnConfig, EpsilonSchedule};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -99,93 +93,12 @@ impl AaConfig {
 /// Summary of an AA training run (same shape as EA's).
 pub type TrainReport = crate::ea::TrainReport;
 
-struct Observation {
-    terminal: bool,
-    state: Vec<f64>,
-    questions: Vec<Question>,
-    action_feats: Vec<Vec<f64>>,
-    /// Top-1 point w.r.t. the rectangle midpoint — both the terminal return
-    /// value (Algorithm 4, line 11) and the fallback recommendation.
-    best: usize,
-}
-
-/// The scan-free opening of an AA round, split out of [`AaAgent::observe`]
-/// for the serving path (`crate::serving`): the LP summary's state
-/// encoding, stop verdict, and sphere center, plus the single utility
-/// vector (the rectangle midpoint) whose dataset top-1 is needed. No
-/// dataset access and no RNG draw happens here, so a cross-user batcher
-/// can coalesce many sessions' scans into one `top1_batch` call. Returns
-/// `None` when the region has collapsed.
-pub(crate) struct AaPhase1 {
-    /// Encoded DQN state (sphere + rectangle summary).
-    pub(crate) state: Vec<f64>,
-    /// Lemma 9 stop verdict — known before any scan runs.
-    pub(crate) terminal: bool,
-    /// Inner-sphere center (hit-and-run start and question anchor).
-    pub(crate) center: Vec<f64>,
-}
-
-/// Phase A of an AA round; see [`AaPhase1`].
-pub(crate) fn aa_phase1(geom: &mut RegionGeometry, eps: f64) -> Option<(AaPhase1, Vec<Vec<f64>>)> {
-    let summary = AaSummary::from_geometry(geom)?;
-    let mid = summary.midpoint();
-    Some((
-        AaPhase1 {
-            state: summary.encode(),
-            terminal: summary.meets_stop_condition(eps),
-            center: summary.sphere.center().to_vec(),
-        },
-        vec![mid],
-    ))
-}
-
-/// Phase B of a non-terminal AA round: the hit-and-run pre-filter pool and
-/// the candidate question pairs, consuming the session RNG in the inline
-/// path's exact order.
-pub(crate) fn aa_actions(
-    cfg: &AaConfig,
-    dim: usize,
-    data: &Dataset,
-    geom: &mut RegionGeometry,
-    center: &[f64],
-    asked: &[(usize, usize)],
-    rng: &mut StdRng,
-) -> (Vec<Question>, Vec<Vec<f64>>) {
-    let pool = {
-        let _s = isrl_obs::span("sampling");
-        isrl_geometry::sampling::hit_and_run(dim, geom.region().halfspaces(), center, 48, 2, rng)
-    };
-    let (region, lp_cache) = geom.region_and_lp_cache();
-    let questions = candidate_pairs(
-        data,
-        region,
-        center,
-        cfg.m_h,
-        asked,
-        &pool,
-        cfg.pair_gen,
-        rng,
-        lp_cache,
-    );
-    let action_feats = questions
-        .iter()
-        .map(|&q| encode_question(data, q))
-        .collect();
-    (questions, action_feats)
-}
-
 /// The approximate RL interactive agent.
 #[derive(Debug)]
 pub struct AaAgent {
     cfg: AaConfig,
     dim: usize,
-    dqn: Dqn,
-    rng: StdRng,
-    episodes_trained: u64,
-    /// Mean TD loss over the most recent learning episode (`None` until the
-    /// replay buffer can fill a minibatch). Feeds the `episode` telemetry
-    /// event stream.
-    last_episode_loss: Option<f64>,
+    learner: Learner,
 }
 
 impl AaAgent {
@@ -199,15 +112,19 @@ impl AaAgent {
         dqn_cfg.batch_size = cfg.batch_size;
         dqn_cfg.target_sync_every = cfg.target_sync_every;
         dqn_cfg.use_adam = cfg.use_adam;
-        let dqn = Dqn::new(dqn_cfg);
         let rng = StdRng::seed_from_u64(cfg.seed.wrapping_add(2));
         Self {
+            learner: Learner {
+                dqn: Dqn::new(dqn_cfg),
+                rng,
+                episodes_trained: 0,
+                last_episode_loss: None,
+                reward_c: cfg.reward_c,
+                train_steps_per_round: cfg.train_steps_per_round,
+                epsilon: cfg.epsilon,
+            },
             cfg,
             dim,
-            dqn,
-            rng,
-            episodes_trained: 0,
-            last_episode_loss: None,
         }
     }
 
@@ -218,12 +135,12 @@ impl AaAgent {
 
     /// Episodes trained so far.
     pub fn episodes_trained(&self) -> u64 {
-        self.episodes_trained
+        self.learner.episodes_trained
     }
 
     /// Access to the underlying DQN (checkpointing).
     pub fn dqn(&self) -> &Dqn {
-        &self.dqn
+        &self.learner.dqn
     }
 
     /// Dimensionality the agent was built for.
@@ -234,291 +151,32 @@ impl AaAgent {
     /// Restores trained Q-network parameters and the episode counter
     /// (checkpoint loading; see `crate::checkpoint`).
     pub fn restore(&mut self, params: &[f64], episodes_trained: u64) {
-        self.dqn.load_params(params);
-        self.episodes_trained = episodes_trained;
-    }
-
-    fn observe(
-        &mut self,
-        data: &Dataset,
-        geom: &mut RegionGeometry,
-        eps: f64,
-        asked: &[(usize, usize)],
-    ) -> Option<Observation> {
-        // The geometry's summary cache means the sphere/rectangle LPs run
-        // at most once per cut even though the state encoding, stop test,
-        // and trace events all consume them.
-        let summary = AaSummary::from_geometry(geom)?;
-        let region = geom.region();
-        let mid = summary.midpoint();
-        let best = {
-            let _t = isrl_obs::span("top1");
-            data.argmax_utility(&mid)
-        };
-        let state = summary.encode();
-        if summary.meets_stop_condition(eps) {
-            return Some(Observation {
-                terminal: true,
-                state,
-                questions: Vec::new(),
-                action_feats: Vec::new(),
-                best,
-            });
-        }
-        // Cheap pool of region samples for hyperplane pre-filtering: a
-        // short hit-and-run walk from the inner-sphere center. Keeps the
-        // per-round LP count near 2·m_h even at d = 25 (DESIGN.md §2).
-        let pool = {
-            let _s = isrl_obs::span("sampling");
-            isrl_geometry::sampling::hit_and_run(
-                self.dim,
-                region.halfspaces(),
-                summary.sphere.center(),
-                48,
-                2,
-                &mut self.rng,
-            )
-        };
-        let (region, lp_cache) = geom.region_and_lp_cache();
-        let questions = candidate_pairs(
-            data,
-            region,
-            summary.sphere.center(),
-            self.cfg.m_h,
-            asked,
-            &pool,
-            self.cfg.pair_gen,
-            &mut self.rng,
-            lp_cache,
-        );
-        let action_feats = questions
-            .iter()
-            .map(|&q| encode_question(data, q))
-            .collect();
-        Some(Observation {
-            terminal: false,
-            state,
-            questions,
-            action_feats,
-            best,
-        })
-    }
-
-    fn episode(
-        &mut self,
-        data: &Dataset,
-        answer: &mut dyn FnMut(&[f64], &[f64]) -> bool,
-        eps: f64,
-        explore_eps: f64,
-        learn: bool,
-        trace_mode: TraceMode,
-    ) -> InteractionOutcome {
-        assert_eq!(data.dim(), self.dim, "dataset dimension mismatch");
-        assert!(!data.is_empty(), "cannot interact over an empty dataset");
-        let sw = Stopwatch::start();
-        let mut profile = EpisodeProfile::begin("AA");
-        // AA never materializes vertices; `summary_only` keeps cuts O(1).
-        let mut geom = RegionGeometry::summary_only(self.dim);
-        geom.set_warm_lp(self.cfg.warm_lp);
-        let mut asked: Vec<(usize, usize)> = Vec::new();
-        let mut trace: Vec<RoundTrace> = Vec::new();
-        let mut rounds = 0usize;
-        let mut loss_sum = 0.0;
-        let mut loss_n = 0u64;
-        self.last_episode_loss = None;
-
-        let mut obs = self
-            .observe(data, &mut geom, eps, &asked)
-            .expect("the full utility simplex is never empty");
-
-        loop {
-            if obs.terminal {
-                return InteractionOutcome {
-                    point_index: obs.best,
-                    rounds,
-                    elapsed: sw.elapsed(),
-                    trace,
-                    truncated: false,
-                };
-            }
-            if obs.questions.is_empty() || rounds >= self.cfg.max_rounds {
-                // Dead end: no dataset hyperplane can narrow R further, or
-                // the safety cap fired. Return the midpoint's top-1.
-                return InteractionOutcome {
-                    point_index: obs.best,
-                    rounds,
-                    elapsed: sw.elapsed(),
-                    trace,
-                    truncated: true,
-                };
-            }
-
-            // Phase timings are collected per round (into the trace and the
-            // `round` event stream) whenever either consumer is active.
-            let record = trace_mode.should_trace(rounds + 1) || isrl_obs::enabled();
-            if record {
-                isrl_obs::round_begin();
-            }
-            let round_started = sw.elapsed();
-
-            let idx = {
-                let _nn = isrl_obs::span("nn");
-                if learn {
-                    self.dqn
-                        .select_action(&obs.state, &obs.action_feats, explore_eps)
-                } else {
-                    self.dqn.best_action(&obs.state, &obs.action_feats).0
-                }
-            };
-            let q = obs.questions[idx];
-            let prefers_i = answer(data.point(q.i), data.point(q.j));
-            let (win, lose) = if prefers_i { (q.i, q.j) } else { (q.j, q.i) };
-            asked.push((q.i.min(q.j), q.i.max(q.j)));
-            rounds += 1;
-            profile.set_rounds(rounds);
-            if let Some(h) = Halfspace::preferring(data.point(win), data.point(lose)) {
-                geom.add(h);
-            }
-
-            let next_obs = match self.observe(data, &mut geom, eps, &asked) {
-                None => {
-                    if record {
-                        isrl_obs::round_end();
-                    }
-                    return InteractionOutcome {
-                        point_index: obs.best,
-                        rounds,
-                        elapsed: sw.elapsed(),
-                        trace,
-                        truncated: true,
-                    };
-                }
-                Some(next_obs) => next_obs,
-            };
-
-            if learn {
-                let dead_end = !next_obs.terminal && next_obs.questions.is_empty();
-                let transition = Transition {
-                    state: std::mem::take(&mut obs.state),
-                    action: obs.action_feats[idx].clone(),
-                    reward: if next_obs.terminal {
-                        self.cfg.reward_c
-                    } else {
-                        0.0
-                    },
-                    next: if next_obs.terminal || dead_end {
-                        None
-                    } else {
-                        Some(NextState {
-                            state: next_obs.state.clone(),
-                            actions: next_obs.action_feats.clone(),
-                        })
-                    },
-                };
-                self.dqn.push_transition(transition);
-                for _ in 0..self.cfg.train_steps_per_round.max(1) {
-                    if let Some(loss) = self.dqn.train_step() {
-                        loss_sum += loss;
-                        loss_n += 1;
-                    }
-                }
-                if loss_n > 0 {
-                    self.last_episode_loss = Some(loss_sum / loss_n as f64);
-                }
-            }
-
-            if record {
-                let phases = isrl_obs::round_end();
-                let volume = geom.volume_proxy();
-                if isrl_obs::enabled() {
-                    emit_round_event(
-                        "AA",
-                        rounds,
-                        Some(q),
-                        sw.elapsed(),
-                        (sw.elapsed() - round_started).as_secs_f64() * 1e3,
-                        None,
-                        None,
-                        volume,
-                        &phases,
-                    );
-                }
-                if trace_mode.should_trace(rounds) {
-                    let mut t =
-                        RoundTrace::new(rounds, sw.elapsed(), next_obs.best, geom.region().clone());
-                    t.phases = phases;
-                    t.volume_proxy = volume;
-                    trace.push(t);
-                }
-            }
-            obs = next_obs;
-        }
+        self.learner.dqn.load_params(params);
+        self.learner.episodes_trained = episodes_trained;
     }
 
     /// Trains the agent on simulated users (Algorithm 3).
     pub fn train(&mut self, data: &Dataset, utilities: &[Vec<f64>], eps: f64) -> TrainReport {
-        let mut rounds = Vec::with_capacity(utilities.len());
-        let mut watchdog = TrainingWatchdog::new("AA", self.cfg.batch_size);
-        for u in utilities {
-            let explore = self.cfg.epsilon.value(self.episodes_trained);
-            let u = u.clone();
-            let mut answer =
-                move |p_i: &[f64], p_j: &[f64]| vector::dot(&u, p_i) >= vector::dot(&u, p_j);
-            let outcome = self.episode(data, &mut answer, eps, explore, true, TraceMode::Off);
-            emit_episode_event(
-                "AA",
-                self.episodes_trained,
-                outcome.rounds,
-                explore,
-                if outcome.truncated {
-                    0.0
-                } else {
-                    self.cfg.reward_c
-                },
-                self.dqn.replay_len(),
-                outcome.truncated,
-                self.last_episode_loss,
-            );
-            watchdog.observe(
-                self.episodes_trained,
-                explore,
-                self.dqn.replay_len(),
-                self.last_episode_loss,
-            );
-            rounds.push(outcome.rounds);
-            self.episodes_trained += 1;
-        }
-        self.dqn.sync_target();
-        let mut report = TrainReport::from_rounds(rounds);
-        report.anomalies = watchdog.anomalies().to_vec();
-        report
+        driver::train(self, data, utilities, eps)
     }
 }
 
-impl InteractiveAlgorithm for AaAgent {
-    fn name(&self) -> &'static str {
-        "AA"
+impl Sealed for AaAgent {
+    const LABEL: &'static str = "AA";
+
+    fn open_round(&mut self, eps: f64) -> Round {
+        Round::aa(&self.cfg, self.dim, eps)
     }
 
-    fn run(
-        &mut self,
-        data: &Dataset,
-        user: &mut dyn User,
-        eps: f64,
-        trace: TraceMode,
-    ) -> InteractionOutcome {
-        let mut answer = |p_i: &[f64], p_j: &[f64]| user.prefers(p_i, p_j);
-        self.episode(data, &mut answer, eps, 0.0, false, trace)
-    }
-
-    fn reseed(&mut self, seed: u64) {
-        self.rng = StdRng::seed_from_u64(seed);
+    fn learner(&mut self) -> &mut Learner {
+        &mut self.learner
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::interaction::{InteractiveAlgorithm, TraceMode};
     use crate::regret::regret_ratio_of_index;
     use crate::user::SimulatedUser;
 

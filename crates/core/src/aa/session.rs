@@ -3,30 +3,17 @@
 //! [`crate::interaction::InteractiveAlgorithm::run`] drives a `User`
 //! callback to completion — convenient for simulation, wrong for servers,
 //! GUIs, or anything asynchronous. [`AaSession`] exposes the same
-//! interaction as a state machine: ask [`AaSession::current_question`],
-//! deliver the user's choice via [`AaSession::answer`], repeat until
-//! [`AaSession::is_finished`], then read [`AaSession::recommendation`].
+//! interaction as a state machine: ask [`Session::current_question`],
+//! deliver the user's choice via [`Session::answer`], repeat until
+//! [`Session::is_finished`], then read [`Session::recommendation`].
 
-use super::{AaAgent, Observation};
-use crate::interaction::{Question, Stopwatch};
-use crate::telemetry::emit_round_event;
+use super::AaAgent;
+use crate::driver::Session;
 use isrl_data::Dataset;
-use isrl_geometry::{Halfspace, Region, RegionGeometry};
 
 /// An in-flight AA interaction. Holds the agent mutably (Q-network
 /// evaluation shares its scratch buffers) and the dataset immutably.
-pub struct AaSession<'a> {
-    agent: &'a mut AaAgent,
-    data: &'a Dataset,
-    eps: f64,
-    geom: RegionGeometry,
-    asked: Vec<(usize, usize)>,
-    obs: Observation,
-    question: Option<(usize, Question)>,
-    rounds: usize,
-    sw: Stopwatch,
-    truncated: bool,
-}
+pub type AaSession<'a> = Session<'a, AaAgent>;
 
 impl AaAgent {
     /// Starts a step-wise interaction on `data` with threshold `eps`.
@@ -34,143 +21,7 @@ impl AaAgent {
     /// # Panics
     /// Panics on dimension mismatch or an empty dataset.
     pub fn start_session<'a>(&'a mut self, data: &'a Dataset, eps: f64) -> AaSession<'a> {
-        assert_eq!(data.dim(), self.dim, "dataset dimension mismatch");
-        assert!(!data.is_empty(), "cannot interact over an empty dataset");
-        let mut geom = RegionGeometry::summary_only(self.dim);
-        geom.set_warm_lp(self.cfg.warm_lp);
-        let asked = Vec::new();
-        let obs = self
-            .observe(data, &mut geom, eps, &asked)
-            .expect("the full utility simplex is never empty");
-        let mut session = AaSession {
-            agent: self,
-            data,
-            eps,
-            geom,
-            asked,
-            obs,
-            question: None,
-            rounds: 0,
-            sw: Stopwatch::start(),
-            truncated: false,
-        };
-        session.pick_question();
-        session
-    }
-}
-
-impl AaSession<'_> {
-    /// Chooses the next greedy question from the current observation, or
-    /// finishes the session when terminal / out of questions / capped.
-    fn pick_question(&mut self) {
-        self.question = None;
-        if self.obs.terminal {
-            return;
-        }
-        if self.obs.questions.is_empty() || self.rounds >= self.agent.cfg.max_rounds {
-            self.truncated = true;
-            return;
-        }
-        let (idx, _) = self
-            .agent
-            .dqn
-            .best_action(&self.obs.state, &self.obs.action_feats);
-        self.question = Some((idx, self.obs.questions[idx]));
-    }
-
-    /// The pending question, or `None` once the session is finished.
-    pub fn current_question(&self) -> Option<Question> {
-        self.question.map(|(_, q)| q)
-    }
-
-    /// The two points of the pending question, for display.
-    pub fn current_points(&self) -> Option<(&[f64], &[f64])> {
-        self.current_question()
-            .map(|q| (self.data.point(q.i), self.data.point(q.j)))
-    }
-
-    /// Delivers the user's choice for the pending question (`true` = the
-    /// first point is preferred) and advances the interaction.
-    ///
-    /// # Panics
-    /// Panics if the session is already finished.
-    pub fn answer(&mut self, prefers_first: bool) {
-        let (_, q) = self
-            .question
-            .take()
-            .expect("session is finished; no pending question");
-        let record = isrl_obs::enabled();
-        if record {
-            isrl_obs::round_begin();
-        }
-        let round_started = self.sw.elapsed();
-        let (win, lose) = if prefers_first {
-            (q.i, q.j)
-        } else {
-            (q.j, q.i)
-        };
-        self.asked.push((q.i.min(q.j), q.i.max(q.j)));
-        self.rounds += 1;
-        if let Some(h) = Halfspace::preferring(self.data.point(win), self.data.point(lose)) {
-            self.geom.add(h);
-        }
-        match self
-            .agent
-            .observe(self.data, &mut self.geom, self.eps, &self.asked)
-        {
-            None => {
-                self.truncated = true; // region numerically collapsed
-            }
-            Some(next) => {
-                self.obs = next;
-                self.pick_question();
-            }
-        }
-        if record {
-            let phases = isrl_obs::round_end();
-            emit_round_event(
-                "AA",
-                self.rounds,
-                Some(q),
-                self.sw.elapsed(),
-                (self.sw.elapsed() - round_started).as_secs_f64() * 1e3,
-                None,
-                None,
-                self.geom.volume_proxy(),
-                &phases,
-            );
-        }
-    }
-
-    /// `true` once no further question will be asked.
-    pub fn is_finished(&self) -> bool {
-        self.question.is_none()
-    }
-
-    /// Questions answered so far.
-    pub fn rounds(&self) -> usize {
-        self.rounds
-    }
-
-    /// Elapsed wall-clock time since the session started.
-    pub fn elapsed(&self) -> std::time::Duration {
-        self.sw.elapsed()
-    }
-
-    /// `true` when the session ended without certifying its stop condition.
-    pub fn truncated(&self) -> bool {
-        self.truncated
-    }
-
-    /// The current (or final) recommendation: the top-1 tuple w.r.t. the
-    /// outer rectangle's midpoint.
-    pub fn recommendation(&self) -> usize {
-        self.obs.best
-    }
-
-    /// The learned utility range so far (half-space view).
-    pub fn region(&self) -> &Region {
-        self.geom.region()
+        Session::start(self, data, eps)
     }
 }
 

@@ -1,25 +1,12 @@
-//! Step-wise interaction sessions for EA (see [`crate::aa::AaSession`] for
-//! the motivation: servers and GUIs need a state machine, not a callback).
+//! Step-wise interaction sessions for EA (see [`Session`] for the
+//! motivation: servers and GUIs need a state machine, not a callback).
 
-use super::{EaAgent, Observation};
-use crate::interaction::{Question, Stopwatch};
-use crate::telemetry::emit_round_event;
+use super::EaAgent;
+use crate::driver::Session;
 use isrl_data::Dataset;
-use isrl_geometry::{Halfspace, Region, RegionGeometry};
 
 /// An in-flight EA interaction.
-pub struct EaSession<'a> {
-    agent: &'a mut EaAgent,
-    data: &'a Dataset,
-    eps: f64,
-    geom: RegionGeometry,
-    asked: Vec<(usize, usize)>,
-    obs: Observation,
-    question: Option<(usize, Question)>,
-    rounds: usize,
-    sw: Stopwatch,
-    truncated: bool,
-}
+pub type EaSession<'a> = Session<'a, EaAgent>;
 
 impl EaAgent {
     /// Starts a step-wise interaction on `data` with threshold `eps`,
@@ -29,141 +16,7 @@ impl EaAgent {
     /// # Panics
     /// Panics on dimension mismatch or an empty dataset.
     pub fn start_session<'a>(&'a mut self, data: &'a Dataset, eps: f64) -> EaSession<'a> {
-        assert_eq!(data.dim(), self.dim, "dataset dimension mismatch");
-        assert!(!data.is_empty(), "cannot interact over an empty dataset");
-        let geom = self.new_geometry();
-        let asked = Vec::new();
-        let obs = self
-            .observe(data, &geom, eps, &asked)
-            .expect("the full utility simplex always has a point set");
-        let mut session = EaSession {
-            agent: self,
-            data,
-            eps,
-            geom,
-            asked,
-            obs,
-            question: None,
-            rounds: 0,
-            sw: Stopwatch::start(),
-            truncated: false,
-        };
-        session.pick_question();
-        session
-    }
-}
-
-impl EaSession<'_> {
-    fn pick_question(&mut self) {
-        self.question = None;
-        if self.obs.terminal.is_some() {
-            return;
-        }
-        if self.obs.questions.is_empty() || self.rounds >= self.agent.cfg.max_rounds {
-            self.truncated = true;
-            return;
-        }
-        let (idx, _) = self
-            .agent
-            .dqn
-            .best_action(&self.obs.state, &self.obs.action_feats);
-        self.question = Some((idx, self.obs.questions[idx]));
-    }
-
-    /// The pending question, or `None` once the session is finished.
-    pub fn current_question(&self) -> Option<Question> {
-        self.question.map(|(_, q)| q)
-    }
-
-    /// The two points of the pending question, for display.
-    pub fn current_points(&self) -> Option<(&[f64], &[f64])> {
-        self.current_question()
-            .map(|q| (self.data.point(q.i), self.data.point(q.j)))
-    }
-
-    /// Delivers the user's choice (`true` = first point preferred).
-    ///
-    /// # Panics
-    /// Panics if the session is already finished.
-    pub fn answer(&mut self, prefers_first: bool) {
-        let (_, q) = self
-            .question
-            .take()
-            .expect("session is finished; no pending question");
-        let record = isrl_obs::enabled();
-        if record {
-            isrl_obs::round_begin();
-        }
-        let round_started = self.sw.elapsed();
-        let (win, lose) = if prefers_first {
-            (q.i, q.j)
-        } else {
-            (q.j, q.i)
-        };
-        self.asked.push((q.i.min(q.j), q.i.max(q.j)));
-        self.rounds += 1;
-        let support_before = self.geom.support_size();
-        if let Some(h) = Halfspace::preferring(self.data.point(win), self.data.point(lose)) {
-            self.geom.add(h);
-        }
-        match self
-            .agent
-            .observe(self.data, &self.geom, self.eps, &self.asked)
-        {
-            None => {
-                self.truncated = true;
-            }
-            Some(next) => {
-                self.obs = next;
-                self.pick_question();
-            }
-        }
-        if record {
-            let phases = isrl_obs::round_end();
-            emit_round_event(
-                "EA",
-                self.rounds,
-                Some(q),
-                self.sw.elapsed(),
-                (self.sw.elapsed() - round_started).as_secs_f64() * 1e3,
-                support_before,
-                self.geom.support_size(),
-                self.geom.volume_proxy(),
-                &phases,
-            );
-        }
-    }
-
-    /// `true` once no further question will be asked.
-    pub fn is_finished(&self) -> bool {
-        self.question.is_none()
-    }
-
-    /// Questions answered so far.
-    pub fn rounds(&self) -> usize {
-        self.rounds
-    }
-
-    /// Elapsed wall-clock time since the session started.
-    pub fn elapsed(&self) -> std::time::Duration {
-        self.sw.elapsed()
-    }
-
-    /// `true` when the session ended without certifying termination
-    /// (Lemma 6 never fired).
-    pub fn truncated(&self) -> bool {
-        self.truncated
-    }
-
-    /// The current (or final) recommendation: the certified terminal anchor
-    /// when available, else the centroid's top-1 tuple.
-    pub fn recommendation(&self) -> usize {
-        self.obs.terminal.unwrap_or(self.obs.fallback_best)
-    }
-
-    /// The learned utility range so far (half-space view).
-    pub fn region(&self) -> &Region {
-        self.geom.region()
+        Session::start(self, data, eps)
     }
 }
 

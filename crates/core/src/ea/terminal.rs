@@ -55,10 +55,15 @@ pub fn terminal_points<'a>(
     if us.is_empty() {
         return Vec::new();
     }
+    distinct(data.top1_batch(&us).iter().map(|t| t.index))
+}
+
+/// The distinct indices, in first-appearance order.
+pub(crate) fn distinct(indices: impl IntoIterator<Item = usize>) -> Vec<usize> {
     let mut seen: Vec<usize> = Vec::new();
-    for t in data.top1_batch(&us) {
-        if !seen.contains(&t.index) {
-            seen.push(t.index);
+    for i in indices {
+        if !seen.contains(&i) {
+            seen.push(i);
         }
     }
     seen
@@ -82,13 +87,23 @@ pub fn check_terminal(data: &Dataset, vertices: &[Vec<f64>], eps: f64) -> Option
     if vertices.is_empty() {
         return None;
     }
-    let anchors = terminal_points(data, vertices.iter());
+    terminal_anchor(data, vertices, &terminal_points(data, vertices.iter()), eps)
+}
+
+/// [`check_terminal`] over already-scanned vertices: `anchors` are their
+/// distinct argmaxes, first-appearance order.
+pub(crate) fn terminal_anchor(
+    data: &Dataset,
+    vertices: &[Vec<f64>],
+    anchors: &[usize],
+    eps: f64,
+) -> Option<usize> {
     // Fast path: a unique argmax across vertices is always terminal (every
     // vertex lies in its own argmax's polyhedron).
     if anchors.len() == 1 {
         return Some(anchors[0]);
     }
-    anchors.into_iter().find(|&a| {
+    anchors.iter().copied().find(|&a| {
         vertices
             .iter()
             .all(|e| in_terminal_polyhedron(data, a, e, eps))

@@ -31,6 +31,8 @@
 //!   (KDD'23), UtilityApprox (SIGMOD'12), rebuilt from their papers;
 //! * [`user`] — simulated (and noisy — the paper's future work) oracles;
 //! * [`interaction`] — the round/trace/outcome framework;
+//! * [`driver`] — the episode, training and step-wise session drivers EA
+//!   and AA share over one round state machine;
 //! * [`metrics`] / [`regret`] — the paper's §V measurements, including the
 //!   per-round maximum regret ratio of Figures 7–8;
 //! * [`runner`] — multi-user evaluation sweeps;
@@ -63,10 +65,12 @@ pub mod aa;
 pub mod baselines;
 pub mod checkpoint;
 pub mod diagnostics;
+pub mod driver;
 pub mod ea;
 pub mod interaction;
 pub mod metrics;
 pub mod regret;
+mod round;
 pub mod runner;
 pub mod serving;
 pub(crate) mod telemetry;

@@ -156,33 +156,23 @@ impl SessionRegistry {
         if pending.is_empty() {
             return 0;
         }
-        if self.batching {
-            let flat: Vec<&Vec<f64>> = pending.iter().flat_map(|(_, u)| u.iter()).collect();
+        // Unbatched, every session's scan is a call of its own.
+        let group = if self.batching { pending.len() } else { 1 };
+        for chunk in pending.chunks(group) {
+            let flat: Vec<&Vec<f64>> = chunk.iter().flat_map(|(_, u)| u.iter()).collect();
             let top1 = {
                 let _t = isrl_obs::span("top1");
                 self.data.top1_batch(&flat)
             };
-            self.record_call(pending.len(), flat.len());
+            self.record_call(chunk.len(), flat.len());
             let mut offset = 0;
-            for (id, utilities) in &pending {
+            for (id, utilities) in chunk {
                 let slice = &top1[offset..offset + utilities.len()];
                 offset += utilities.len();
                 self.sessions
                     .get_mut(id)
                     .expect("pending session vanished mid-pump")
                     .provide_scan(utilities, slice);
-            }
-        } else {
-            for (id, utilities) in &pending {
-                let top1 = {
-                    let _t = isrl_obs::span("top1");
-                    self.data.top1_batch(utilities)
-                };
-                self.record_call(1, utilities.len());
-                self.sessions
-                    .get_mut(id)
-                    .expect("pending session vanished mid-pump")
-                    .provide_scan(utilities, &top1);
             }
         }
         pending.len()

@@ -3,25 +3,23 @@
 //!
 //! [`EaSession`](crate::ea::EaSession)/[`AaSession`](crate::aa::AaSession)
 //! borrow their agent mutably and scan the dataset inline — one user at a
-//! time. A [`ServeSession`] instead *owns* all per-user state (region
-//! geometry, RNG, asked-set, DQN scratch) and shares the policy and
-//! dataset behind `Arc`s, and every round's dataset scan is surfaced as a
-//! take/provide pair so the [`SessionRegistry`](super::SessionRegistry)
-//! can batch scans across users. The split is RNG-exact: given the same
-//! seed, a `ServeSession` asks byte-identical question sequences to the
+//! time. A [`ServeSession`] instead *owns* its round machine, RNG and DQN
+//! scratch and shares the policy and dataset behind `Arc`s; the machine's
+//! take/provide scan pair is exposed so the
+//! [`SessionRegistry`](super::SessionRegistry) can batch scans across
+//! users. All of them drive the same round machine, so given the same
+//! seed a `ServeSession` asks byte-identical question sequences to the
 //! borrowing sessions (pinned by `tests/serve_isolation.rs`).
 
 use std::sync::Arc;
 
-use crate::aa::{aa_actions, aa_phase1, AaPhase1};
-use crate::ea::{ea_actions, ea_phase1, ea_sample_extras, ea_verdict};
 use crate::interaction::{Question, Stopwatch};
+use crate::round::Round;
 use crate::serving::ServePolicy;
 use isrl_data::Dataset;
-use isrl_geometry::{Halfspace, RegionGeometry};
 use isrl_linalg::Top1;
 use rand::rngs::StdRng;
-use rand::{RngCore, SeedableRng};
+use rand::SeedableRng;
 
 use super::AlgoKind;
 
@@ -66,61 +64,23 @@ impl std::fmt::Display for ServeError {
 
 impl std::error::Error for ServeError {}
 
-/// Pre-scan context carried across a pending scan.
-enum Phase1 {
-    /// EA: the encoded state (utilities are `[region points.., centroid]`).
-    Ea { state: Vec<f64> },
-    /// AA: the LP summary (the single utility is the rectangle midpoint).
-    Aa(AaPhase1),
-}
-
-/// Where the session's round state machine stands.
-enum Stage {
-    /// Waiting for the round-opening scan. `utilities` is `Some` until the
-    /// batcher takes them.
-    Scan1 {
-        utilities: Option<Vec<Vec<f64>>>,
-        pre: Phase1,
-    },
-    /// EA on the exact backend only: the terminal check said non-terminal,
-    /// extra region samples were drawn, and their scans are pending.
-    /// `points_top1` keeps the phase-1 per-vertex argmaxes so `P_R` can be
-    /// assembled in the inline path's exact order.
-    Scan2 {
-        utilities: Option<Vec<Vec<f64>>>,
-        state: Vec<f64>,
-        points_top1: Vec<usize>,
-    },
-    /// A question is pending with the user.
-    Ask { question: Question },
-    /// Finished — a recommendation is available.
-    Done,
-}
-
 /// One live user interaction, decoupled from the dataset scan.
 ///
-/// Lifecycle per round: when [`needs_scan`](Self::needs_scan), the driver
-/// takes the pending utility vectors ([`take_scan_utilities`]
-/// (Self::take_scan_utilities)), computes their dataset top-1s (typically
-/// batched with other sessions' scans), and hands the results back
-/// ([`provide_scan`](Self::provide_scan)); EA on the exact backend needs
-/// two such exchanges per round. The session then either finishes or
-/// exposes [`current_question`](Self::current_question), and
-/// [`answer`](Self::answer) starts the next round. [`step_blocking`]
-/// (Self::step_blocking) runs the exchanges inline for unbatched callers
-/// (the stdin interview, differential tests).
+/// Lifecycle per round: the driver takes the pending utility vectors
+/// ([`take_scan_utilities`](Self::take_scan_utilities)), computes their
+/// dataset top-1s (typically batched with other sessions' scans), and
+/// hands the results back ([`provide_scan`](Self::provide_scan)); EA on
+/// the exact backend needs two such exchanges per round. The session then
+/// either finishes or exposes [`current_question`](Self::current_question),
+/// and [`answer`](Self::answer) starts the next round.
+/// [`step_blocking`](Self::step_blocking) runs the exchanges inline for
+/// unbatched callers (the stdin interview, differential tests).
 pub struct ServeSession {
     policy: Arc<ServePolicy>,
     data: Arc<Dataset>,
-    eps: f64,
     rng: StdRng,
-    geom: RegionGeometry,
-    asked: Vec<(usize, usize)>,
-    rounds: usize,
-    truncated: bool,
     scratch: Vec<f64>,
-    stage: Stage,
-    recommendation: Option<usize>,
+    round: Round,
     sw: Stopwatch,
 }
 
@@ -146,40 +106,20 @@ impl ServeSession {
         if !(eps.is_finite() && eps > 0.0) {
             return Err(ServeError::BadEpsilon(eps));
         }
+        let sw = Stopwatch::start();
         let mut rng = StdRng::seed_from_u64(seed);
-        // Mirrors `EaAgent::new_geometry` / `AaAgent` setup exactly,
-        // including the sampled backend's cloud-seed draw from the session
-        // RNG.
-        let geom = match &*policy {
-            ServePolicy::Ea(a) => {
-                if a.config().geometry.resolves_to_sampled(a.dim()) {
-                    RegionGeometry::sampled(a.dim(), a.config().walk, rng.next_u64())
-                } else {
-                    RegionGeometry::exact(a.dim())
-                }
-            }
-            ServePolicy::Aa(a) => {
-                let mut g = RegionGeometry::summary_only(a.dim());
-                g.set_warm_lp(a.config().warm_lp);
-                g
-            }
+        let round = match &*policy {
+            ServePolicy::Ea(a) => Round::ea(a.config(), a.dim(), eps, &mut rng),
+            ServePolicy::Aa(a) => Round::aa(a.config(), a.dim(), eps),
         };
-        let mut session = Self {
+        Ok(Self {
             policy,
             data,
-            eps,
             rng,
-            geom,
-            asked: Vec::new(),
-            rounds: 0,
-            truncated: false,
             scratch: Vec::new(),
-            stage: Stage::Done,
-            recommendation: None,
-            sw: Stopwatch::start(),
-        };
-        session.plan();
-        Ok(session)
+            round,
+            sw,
+        })
     }
 
     /// The algorithm this session runs.
@@ -187,28 +127,11 @@ impl ServeSession {
         self.policy.algo()
     }
 
-    /// `true` while a scan is pending and its utilities not yet taken.
-    pub fn needs_scan(&self) -> bool {
-        matches!(
-            &self.stage,
-            Stage::Scan1 {
-                utilities: Some(_),
-                ..
-            } | Stage::Scan2 {
-                utilities: Some(_),
-                ..
-            }
-        )
-    }
-
     /// Takes the pending scan's utility vectors (to be answered with
     /// [`provide_scan`](Self::provide_scan)), or `None` when no scan is
     /// pending.
     pub fn take_scan_utilities(&mut self) -> Option<Vec<Vec<f64>>> {
-        match &mut self.stage {
-            Stage::Scan1 { utilities, .. } | Stage::Scan2 { utilities, .. } => utilities.take(),
-            _ => None,
-        }
+        self.round.take_scan_utilities()
     }
 
     /// Delivers the top-1 results for the taken utility vectors (`top1[k]`
@@ -218,160 +141,20 @@ impl ServeSession {
     /// Panics if no scan was taken or the lengths disagree — driver bugs,
     /// not user input.
     pub fn provide_scan(&mut self, utilities: &[Vec<f64>], top1: &[Top1]) {
-        assert_eq!(utilities.len(), top1.len(), "scan result length mismatch");
-        let stage = std::mem::replace(&mut self.stage, Stage::Done);
-        match stage {
-            Stage::Scan1 {
-                utilities: taken,
-                pre,
-            } => {
-                assert!(taken.is_none(), "scan provided before being taken");
-                match pre {
-                    Phase1::Ea { state } => self.finish_ea_scan1(utilities, top1, state),
-                    Phase1::Aa(pre) => self.finish_aa_scan1(top1, pre),
-                }
-            }
-            Stage::Scan2 {
-                utilities: taken,
-                state,
-                points_top1,
-            } => {
-                assert!(taken.is_none(), "scan provided before being taken");
-                self.finish_ea_scan2(top1, state, points_top1);
-            }
-            _ => panic!("no scan is pending"),
-        }
+        self.round
+            .provide_scan(&self.data, utilities, top1, &mut self.rng);
+        self.pick();
     }
 
-    /// EA phase 1 done: run the terminal check over the region points'
-    /// argmaxes. Terminal → finished; sampled backend → the cloud already
-    /// is `V`, so `P_R` is the anchor set and the round goes straight to
-    /// action selection; exact backend → draw the extra samples of `V`
-    /// (only now, preserving the inline path's property that terminal
-    /// rounds consume no RNG) and queue their scans.
-    fn finish_ea_scan1(&mut self, utilities: &[Vec<f64>], top1: &[Top1], state: Vec<f64>) {
-        let policy = Arc::clone(&self.policy);
-        let ServePolicy::Ea(agent) = &*policy else {
-            unreachable!("EA scan on a non-EA session");
-        };
-        let points = &utilities[..utilities.len() - 1];
-        let verdict = ea_verdict(&self.data, points, top1, self.eps);
-        self.recommendation = Some(verdict.terminal.unwrap_or(verdict.fallback_best));
-        if verdict.terminal.is_some() {
-            self.stage = Stage::Done;
-            return;
-        }
-        if self.geom.is_sampled() {
-            let (questions, feats) = ea_actions(
-                agent.config(),
-                &self.data,
-                &verdict.anchors,
-                &self.asked,
-                &mut self.rng,
+    /// Greedy question selection against the shared Q-network.
+    fn pick(&mut self) {
+        if let Some(options) = self.round.choice() {
+            let (idx, _) = self.policy.dqn().best_action_ref(
+                &mut self.scratch,
+                &options.state,
+                &options.feats,
             );
-            self.ask(state, questions, feats);
-        } else {
-            let extras = ea_sample_extras(
-                agent.config(),
-                agent.dim(),
-                &self.geom,
-                points,
-                &mut self.rng,
-            );
-            self.stage = Stage::Scan2 {
-                utilities: Some(extras),
-                state,
-                points_top1: top1[..points.len()].iter().map(|t| t.index).collect(),
-            };
-        }
-    }
-
-    /// EA phase 2 done (exact backend): assemble `P_R` as the distinct
-    /// argmaxes over `[extra samples.., region vertices..]` in first-
-    /// appearance order — exactly `terminal_points` over the inline path's
-    /// `samples.extend(vertices)` layout — then select the question.
-    fn finish_ea_scan2(&mut self, top1: &[Top1], state: Vec<f64>, points_top1: Vec<usize>) {
-        let policy = Arc::clone(&self.policy);
-        let ServePolicy::Ea(agent) = &*policy else {
-            unreachable!("EA scan on a non-EA session");
-        };
-        let mut p_r: Vec<usize> = Vec::new();
-        for idx in top1.iter().map(|t| t.index).chain(points_top1) {
-            if !p_r.contains(&idx) {
-                p_r.push(idx);
-            }
-        }
-        let (questions, feats) =
-            ea_actions(agent.config(), &self.data, &p_r, &self.asked, &mut self.rng);
-        self.ask(state, questions, feats);
-    }
-
-    /// AA phase 1 done: the midpoint's top-1 is both the terminal return
-    /// and the fallback recommendation (Algorithm 4, line 11).
-    fn finish_aa_scan1(&mut self, top1: &[Top1], pre: AaPhase1) {
-        let policy = Arc::clone(&self.policy);
-        let ServePolicy::Aa(agent) = &*policy else {
-            unreachable!("AA scan on a non-AA session");
-        };
-        self.recommendation = Some(top1[0].index);
-        if pre.terminal {
-            self.stage = Stage::Done;
-            return;
-        }
-        let (questions, feats) = aa_actions(
-            agent.config(),
-            agent.dim(),
-            &self.data,
-            &mut self.geom,
-            &pre.center,
-            &self.asked,
-            &mut self.rng,
-        );
-        self.ask(pre.state, questions, feats);
-    }
-
-    /// Greedy question selection against the shared Q-network, with the
-    /// borrowing sessions' truncation rules.
-    fn ask(&mut self, state: Vec<f64>, questions: Vec<Question>, feats: Vec<Vec<f64>>) {
-        let max_rounds = match &*self.policy {
-            ServePolicy::Ea(a) => a.config().max_rounds,
-            ServePolicy::Aa(a) => a.config().max_rounds,
-        };
-        if questions.is_empty() || self.rounds >= max_rounds {
-            self.truncated = true;
-            self.stage = Stage::Done;
-            return;
-        }
-        let policy = Arc::clone(&self.policy);
-        let (idx, _) = policy
-            .dqn()
-            .best_action_ref(&mut self.scratch, &state, &feats);
-        self.stage = Stage::Ask {
-            question: questions[idx],
-        };
-    }
-
-    /// Opens the next round: derive the scan-free phase-1 context from the
-    /// current region, or finish truncated when the region has collapsed.
-    fn plan(&mut self) {
-        let policy = Arc::clone(&self.policy);
-        let planned = match &*policy {
-            ServePolicy::Ea(agent) => ea_phase1(agent.encoder(), &self.geom)
-                .map(|(state, utilities)| (Phase1::Ea { state }, utilities)),
-            ServePolicy::Aa(_) => aa_phase1(&mut self.geom, self.eps)
-                .map(|(pre, utilities)| (Phase1::Aa(pre), utilities)),
-        };
-        match planned {
-            None => {
-                self.truncated = true;
-                self.stage = Stage::Done;
-            }
-            Some((pre, utilities)) => {
-                self.stage = Stage::Scan1 {
-                    utilities: Some(utilities),
-                    pre,
-                };
-            }
+            self.round.choose(idx);
         }
     }
 
@@ -380,73 +163,49 @@ impl ServeSession {
     /// error instead of panicking — in a server, a double answer is user
     /// input, not a bug.
     pub fn answer(&mut self, prefers_first: bool) -> Result<(), ServeError> {
-        let Stage::Ask { question: q } = self.stage else {
-            return Err(ServeError::NoPendingQuestion);
-        };
-        let (win, lose) = if prefers_first {
-            (q.i, q.j)
-        } else {
-            (q.j, q.i)
-        };
-        self.asked.push((q.i.min(q.j), q.i.max(q.j)));
-        self.rounds += 1;
-        if let Some(h) = Halfspace::preferring(self.data.point(win), self.data.point(lose)) {
-            self.geom.add(h);
-        }
-        self.plan();
-        Ok(())
+        self.round
+            .answer(&self.data, prefers_first)
+            .map(drop)
+            .ok_or(ServeError::NoPendingQuestion)
     }
 
     /// Runs any pending scans inline against the shared dataset — the
     /// unbatched path for single-session callers.
     pub fn step_blocking(&mut self) {
-        let data = Arc::clone(&self.data);
-        while let Some(utilities) = self.take_scan_utilities() {
-            let top1 = {
-                let _t = isrl_obs::span("top1");
-                data.top1_batch(&utilities)
-            };
-            self.provide_scan(&utilities, &top1);
-        }
+        self.round.scan_inline(&self.data, &mut self.rng);
+        self.pick();
     }
 
     /// The pending question, or `None` while scanning or finished.
     pub fn current_question(&self) -> Option<Question> {
-        match &self.stage {
-            Stage::Ask { question } => Some(*question),
-            _ => None,
-        }
+        self.round.question()
     }
 
     /// The two points of the pending question, for display.
     pub fn current_points(&self) -> Option<(&[f64], &[f64])> {
-        match &self.stage {
-            Stage::Ask { question } => {
-                Some((self.data.point(question.i), self.data.point(question.j)))
-            }
-            _ => None,
-        }
+        self.current_question()
+            .map(|q| (self.data.point(q.i), self.data.point(q.j)))
     }
 
     /// `true` once no further question will be asked.
     pub fn is_finished(&self) -> bool {
-        matches!(self.stage, Stage::Done)
+        self.round.end().is_some()
     }
 
     /// Questions answered so far.
     pub fn rounds(&self) -> usize {
-        self.rounds
+        self.round.rounds
     }
 
     /// `true` when the session ended without certifying termination.
     pub fn truncated(&self) -> bool {
-        self.truncated
+        self.round.truncated()
     }
 
     /// The current (or final) recommendation. `None` only before the very
     /// first scan completes.
     pub fn recommendation(&self) -> Option<usize> {
-        self.recommendation
+        self.round.recommendation
     }
 
     /// Elapsed wall-clock time since the session opened.

@@ -4,12 +4,22 @@
 //!
 //! Lives in its own integration-test binary (= its own process) because
 //! the obs counters are process-global: enabling the sink here must not
-//! race with the differential suite's kernels.
+//! race with the differential suite's kernels. Within this binary the two
+//! tests diff the same global counter, so each holds [`counter_lock`] for
+//! its whole body — under the parallel harness one test's bumps would
+//! otherwise land in the other's before/after window.
 
 use isrl_linalg::{
     scan::TOP1_NAN_COUNTER, top1_batch, top1_batch_simd, top1_scalar, top1_soa, top1_soa_f32,
     SoaBuffer, Top1,
 };
+use std::sync::{Mutex, MutexGuard};
+
+/// Serializes the tests of this binary (they share `scan.top1_nan`).
+fn counter_lock() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|p| p.into_inner())
+}
 
 const BACKEND_NAMES: [&str; 5] = ["scalar", "batched", "batched-simd", "soa", "soa-f32"];
 
@@ -30,6 +40,7 @@ fn run_backend(name: &str, utilities: &[Vec<f64>], points: &[f64], dim: usize) -
 
 #[test]
 fn every_backend_bumps_the_warning_counter_once_per_degenerate_utility() {
+    let _g = counter_lock();
     isrl_obs::set_enabled(true);
     let dim = 2;
     // Under u0 = [2, 2] every score is NaN: row 0 directly, row 1 via
@@ -60,6 +71,7 @@ fn every_backend_bumps_the_warning_counter_once_per_degenerate_utility() {
 
 #[test]
 fn all_minus_inf_without_nan_returns_sentinel_without_warning() {
+    let _g = counter_lock();
     isrl_obs::set_enabled(true);
     let dim = 2;
     // Scores are all exactly -inf (finite utility, -inf coordinates) but
