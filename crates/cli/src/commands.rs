@@ -300,7 +300,6 @@ fn serve_listen(args: &Args, data: Dataset, listen: &str) -> CmdResult {
         slow_factor,
         slow_warmup: args.get_or("slow-warmup", defaults.slow_warmup, "integer")?,
         slow_cooldown: args.get_or("slow-cooldown", defaults.slow_cooldown, "integer")?,
-        ..defaults
     };
     let handle = spawn_server(
         std::sync::Arc::new(data),
@@ -439,13 +438,13 @@ pub fn serve(args: &Args) -> CmdResult {
 /// `isrl stats` — query a live `serve --listen` server's read-only
 /// RED-metrics snapshot over the wire (DESIGN.md §16).
 pub fn stats(args: &Args) -> CmdResult {
-    use isrl_core::serving::protocol::{ClientFrame, ServerFrame};
+    use isrl_core::serving::protocol::{write_frame, ClientFrame, ServerFrame};
     args.ensure_known(&["connect", "detail", "json"])?;
     let addr = args.required("connect")?;
     let detail = args.has("detail");
     let mut stream = std::net::TcpStream::connect(addr).map_err(|e| format!("{addr}: {e}"))?;
-    writeln!(stream, "{}", ClientFrame::Stats { detail }.to_line())?;
-    stream.flush()?;
+    stream.set_nodelay(true)?;
+    write_frame(&mut stream, ClientFrame::Stats { detail }.to_line())?;
     let mut reader = std::io::BufReader::new(stream);
     let mut line = String::new();
     std::io::BufRead::read_line(&mut reader, &mut line)?;
@@ -547,7 +546,7 @@ fn render_stats(body: &isrl_obs::json::Json) -> String {
         &mut out,
         format!(
             "batch:         {} calls, {} coalesced, {} session-scans, {} utilities; \
-             last window drained {} msg(s)",
+             last batch drained {} msg(s)",
             num(&["batch", "calls"]),
             num(&["batch", "coalesced"]),
             num(&["batch", "sessions_scanned"]),

@@ -19,7 +19,8 @@
 //! * clean shutdown — a `shutdown` frame stops the server with exit 0
 //!   and the batch counters on stdout.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use isrl_core::serving::protocol::write_frame;
+use std::io::{BufRead, BufReader, Read};
 use std::net::TcpStream;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
@@ -160,8 +161,7 @@ impl Conn {
     }
 
     fn send(&mut self, line: &str) {
-        writeln!(self.writer, "{line}").unwrap();
-        self.writer.flush().unwrap();
+        write_frame(&mut self.writer, line).unwrap();
     }
 
     fn recv(&mut self) -> String {

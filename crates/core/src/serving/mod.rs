@@ -20,7 +20,8 @@
 //! * [`protocol`] — the line-delimited JSON frames
 //!   (`hello`/`question`/`answer`/`done`/`error`/`shutdown`);
 //! * [`server`] — a small hand-rolled blocking TCP reactor (no async
-//!   runtime; the workspace builds offline) with a micro-batching window;
+//!   runtime; the workspace builds offline) that micro-batches whatever
+//!   is already queued;
 //! * [`loadgen`] — replays N simulated users over the protocol and
 //!   reports sessions/sec plus p50/p99 round latency.
 

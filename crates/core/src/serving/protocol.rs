@@ -33,10 +33,28 @@
 //! ```
 //!
 //! Frames are hand-rolled over [`isrl_obs::json`] — the workspace builds
-//! with no serialization dependency.
+//! with no serialization dependency. Server and clients alike put frames
+//! on the wire with [`write_frame`].
+
+use std::io::Write;
 
 use crate::serving::{choice_from_number, parse_choice, AlgoKind};
 use isrl_obs::json::{self, Json};
+
+/// Writes one frame — `line` (no trailing newline, as [`ClientFrame::to_line`]
+/// and [`ServerFrame::to_line`] return it) plus `'\n'` — with a single
+/// `write_all`.
+///
+/// One write per frame is what keeps a round off the delayed-ACK clock:
+/// a frame split into two writes sends its tail as a second small
+/// segment, which Nagle's algorithm holds until the peer ACKs the first
+/// (up to the peer's 40 ms delayed-ACK timer on Linux). Callers also set
+/// `TCP_NODELAY` on the socket.
+pub fn write_frame<W: Write + ?Sized>(w: &mut W, line: impl Into<String>) -> std::io::Result<()> {
+    let mut buf = line.into();
+    buf.push('\n');
+    w.write_all(buf.as_bytes())
+}
 
 /// A frame sent by a client.
 #[derive(Debug, Clone, PartialEq)]
@@ -517,5 +535,27 @@ mod tests {
         ] {
             assert!(ClientFrame::parse(bad).is_err(), "must reject {bad:?}");
         }
+    }
+
+    #[test]
+    fn write_frame_emits_the_line_and_newline_in_one_write() {
+        /// Records every `write` call separately.
+        struct Writes(Vec<Vec<u8>>);
+        impl Write for Writes {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.0.push(buf.to_vec());
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut w = Writes(Vec::new());
+        write_frame(&mut w, ClientFrame::Shutdown.to_line()).unwrap();
+        write_frame(&mut w, "{}").unwrap();
+        assert_eq!(
+            w.0,
+            vec![b"{\"kind\":\"shutdown\"}\n".to_vec(), b"{}\n".to_vec()]
+        );
     }
 }

@@ -199,7 +199,7 @@ impl SessionRegistry {
         isrl_obs::add("serve.batch.calls", 1);
         isrl_obs::add("serve.batch.sessions", sessions as u64);
         isrl_obs::add("serve.batch.utilities", utilities as u64);
-        // Live gauge: how many sessions shared this batch window — the
+        // Live gauge: how many sessions shared this scan call — the
         // snapshotter's timeseries shows coalescing *during* a run, not
         // just in the shutdown stats.
         isrl_obs::gauge_set("serve.batch.window_occupancy", sessions as u64);

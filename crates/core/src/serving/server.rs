@@ -3,12 +3,15 @@
 //! No async runtime (the workspace builds with its vendored dependency
 //! set): one accept thread, one reader thread per connection feeding a
 //! channel, and a single core thread that owns the [`SessionRegistry`]
-//! and all writers. The core drains the channel in micro-batches — after
-//! the first message it keeps reading until [`ServerConfig::batch_window`]
-//! elapses with nothing new (or [`ServerConfig::max_drain`] messages) —
-//! so concurrent users' round scans land in the same
-//! [`SessionRegistry::pump_all`] and coalesce into shared `top1_batch`
-//! calls.
+//! and all writers. The core drains the channel in micro-batches without
+//! waiting: it blocks for the first message, then takes whatever is
+//! already queued behind it (up to `MAX_DRAIN` requests) and pumps. A
+//! closed-loop client therefore pays only its round's compute, while
+//! requests that queued up as the core was busy with the previous batch
+//! land in the same [`SessionRegistry::pump_all`] and coalesce into
+//! shared `top1_batch` calls. Every accepted socket sets `TCP_NODELAY`
+//! and every frame leaves in one write ([`write_frame`]), so no reply
+//! waits out the client's delayed ACK.
 //!
 //! **Operational observability** (DESIGN.md §16): every accepted
 //! `hello`/`answer` is a *request* with a server-assigned id; the frame it
@@ -25,19 +28,23 @@
 //! the zero-instrumentation fast path.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crate::serving::protocol::{ClientFrame, ServerFrame};
+use crate::serving::protocol::{write_frame, ClientFrame, ServerFrame};
 use crate::serving::{BatchStats, ServePolicy, SessionRegistry};
 use isrl_data::Dataset;
 use isrl_obs::json::Json;
 use isrl_obs::{FlightRecord, FlightRecorder, RollingSketch};
+
+/// Cap on requests taken into one micro-batch, so a flood of queued
+/// traffic cannot hold its first frames back indefinitely.
+const MAX_DRAIN: usize = 256;
 
 /// Reactor knobs.
 #[derive(Debug, Clone)]
@@ -45,12 +52,6 @@ pub struct ServerConfig {
     /// Bind address; port 0 picks a free port (read it back from
     /// [`ServerHandle::addr`]).
     pub addr: String,
-    /// How long the core waits for further traffic after a message before
-    /// processing the batch. Larger windows coalesce more cross-user
-    /// scans at the cost of per-round latency.
-    pub batch_window: Duration,
-    /// Cap on messages drained per batch.
-    pub max_drain: usize,
     /// Horizon of the rolling round-latency sketch behind the `stats`
     /// frame and the flight-recorder threshold.
     pub rolling_window: Duration,
@@ -71,8 +72,6 @@ impl Default for ServerConfig {
     fn default() -> Self {
         Self {
             addr: "127.0.0.1:0".to_string(),
-            batch_window: Duration::from_micros(500),
-            max_drain: 256,
             rolling_window: Duration::from_secs(30),
             flight_depth: 32,
             slow_factor: 4.0,
@@ -186,6 +185,9 @@ fn accept_loop(listener: TcpListener, tx: Sender<Msg>, stop: Arc<AtomicBool>) {
         if stop.load(Ordering::SeqCst) {
             return;
         }
+        // Replies are single small writes answering a request; Nagle
+        // would hold any of them back behind an unacknowledged segment.
+        let _ = stream.set_nodelay(true);
         let conn = next_conn;
         next_conn += 1;
         let writer = match stream.try_clone() {
@@ -249,7 +251,9 @@ struct Core {
     /// Requests since the last `slow_round` dump (starts saturated so the
     /// first incident can fire).
     since_slow: u64,
-    /// Messages drained in the last micro-batch (for the `stats` frame).
+    /// Messages handled in the last micro-batch — the first one plus
+    /// whatever was already queued behind it (the `stats` frame's
+    /// `window_occupancy`).
     last_drained: u64,
     /// Messages handled in the current micro-batch.
     batch_msgs: u64,
@@ -293,13 +297,13 @@ fn core_loop(
             Err(_) => break,
         };
         core.handle(first);
-        // Micro-batch: keep draining while traffic is arriving back to
-        // back, so concurrent sessions advance in one pump.
-        while !core.stopping && core.touched.len() < core.cfg.max_drain {
-            match rx.recv_timeout(core.cfg.batch_window) {
+        // Micro-batch: take what is already queued, never wait for more.
+        // Whatever arrived while the last batch ran advances in one pump.
+        while !core.stopping && core.touched.len() < MAX_DRAIN {
+            match rx.try_recv() {
                 Ok(m) => core.handle(m),
-                Err(RecvTimeoutError::Timeout) => break,
-                Err(RecvTimeoutError::Disconnected) => {
+                Err(TryRecvError::Empty) => break,
+                Err(TryRecvError::Disconnected) => {
                     core.stopping = true;
                     break;
                 }
@@ -760,10 +764,7 @@ impl Core {
         let Some(stream) = self.writers.get_mut(&conn) else {
             return;
         };
-        let ok = writeln!(stream, "{}", frame.to_line())
-            .and_then(|_| stream.flush())
-            .is_ok();
-        if !ok {
+        if write_frame(stream, frame.to_line()).is_err() {
             self.writers.remove(&conn);
         }
     }

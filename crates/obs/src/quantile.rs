@@ -205,12 +205,18 @@ impl QuantileSketch {
 
     /// The estimated `q`-quantile (`q ∈ [0, 1]`), clamped to the recorded
     /// `[min, max]`. Returns 0.0 for an empty sketch.
+    ///
+    /// Ranks are nearest-rank — the `ceil(q·n)`-th smallest value, as
+    /// `trace-report` and the fixed-bucket histograms rank — so a live
+    /// sketch and a post-hoc recompute over the same values pick the
+    /// same one.
     pub fn quantile(&self, q: f64) -> f64 {
         if self.count == 0 {
             return 0.0;
         }
         let q = q.clamp(0.0, 1.0);
-        let rank = (q * (self.count - 1) as f64).floor() as u64;
+        // 0-based index of the nearest-rank element.
+        let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count) - 1;
         if rank < self.zero {
             return if self.min <= MIN_TRACKABLE {
                 self.min
@@ -435,9 +441,10 @@ pub(crate) fn reset_sketches() {
 mod tests {
     use super::*;
 
+    /// Nearest-rank reference: the `ceil(q·n)`-th smallest value.
     fn exact_quantile(sorted: &[f64], q: f64) -> f64 {
-        let rank = (q * (sorted.len() - 1) as f64).floor() as usize;
-        sorted[rank]
+        let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
+        sorted[rank - 1]
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! snapshotter and `trace-diff` both assume sketches combine freely.
 //!
 //! The reference uses the same rank convention as the sketch
-//! (`floor(q * (n - 1))` into the sorted sample), so the only divergence
+//! (nearest-rank: the `ceil(q * n)`-th smallest sample), so the only divergence
 //! the bound has to absorb is bucket-midpoint rounding: at most `alpha`
 //! relative error per value, plus float slop.
 
@@ -22,8 +22,8 @@ const QS: &[f64] = &[0.0, 0.25, 0.5, 0.9, 0.99, 1.0];
 
 /// Exact `q`-quantile under the sketch's own rank convention.
 fn exact_quantile(sorted: &[f64], q: f64) -> f64 {
-    let rank = (q * (sorted.len() - 1) as f64).floor() as usize;
-    sorted[rank]
+    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
+    sorted[rank - 1]
 }
 
 /// Asserts the sketch agrees with the exact quantiles of `values` on the
