@@ -176,17 +176,19 @@ pub fn run_loadgen(cfg: &LoadgenConfig) -> Result<LoadgenReport, String> {
             Err(e) => first_err = first_err.or(Some(e)),
         }
     }
+    let elapsed_secs = started.elapsed().as_secs_f64();
+
+    // Stop the server even when a user failed: whoever waits on it
+    // (`isrl serve`, a CI job) would otherwise wait forever.
+    let shutdown = if cfg.send_shutdown {
+        send_shutdown(&cfg.addr)
+    } else {
+        Ok(())
+    };
     if let Some(e) = first_err {
         return Err(e);
     }
-    let elapsed_secs = started.elapsed().as_secs_f64();
-
-    if cfg.send_shutdown {
-        let mut conn = TcpStream::connect(&cfg.addr)
-            .map_err(|e| format!("connect for shutdown {}: {e}", cfg.addr))?;
-        write_frame(&mut conn, ClientFrame::Shutdown.to_line())
-            .map_err(|e| format!("send shutdown: {e}"))?;
-    }
+    shutdown?;
 
     outcomes.sort_by_key(|o| o.user);
     if isrl_obs::enabled() {
@@ -328,6 +330,13 @@ fn run_user(
 
 fn send(writer: &mut TcpStream, frame: &ClientFrame) -> Result<(), String> {
     write_frame(writer, frame.to_line()).map_err(|e| format!("send: {e}"))
+}
+
+fn send_shutdown(addr: &str) -> Result<(), String> {
+    let mut conn =
+        TcpStream::connect(addr).map_err(|e| format!("connect for shutdown {addr}: {e}"))?;
+    write_frame(&mut conn, ClientFrame::Shutdown.to_line())
+        .map_err(|e| format!("send shutdown: {e}"))
 }
 
 #[cfg(test)]

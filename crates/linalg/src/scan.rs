@@ -9,12 +9,13 @@
 //! scored against *every* utility vector while it is hot in cache, cutting
 //! point-buffer traffic from `k·n·d` to `n·d` reads.
 //!
-//! Every kernel is exact — same dot product, same scan order, same strict
-//! `>` tie-breaking as [`top1_scalar`] — so callers can switch backends
-//! without behavioral change. Faster layouts live in [`crate::soa`]; the
-//! process-wide backend choice is a [`ScanBackend`] (env knob
-//! `ISRL_SCAN_BACKEND`, programmatic [`set_scan_backend`]) that
-//! `Dataset`-level callers dispatch on.
+//! These row-major kernels are the references: [`top1_scalar`] is the
+//! definition every other kernel is differential-tested against, and
+//! [`top1_batch`]/[`row_dots`] are its blocked forms. Production scans
+//! (`Dataset::top1_batch`, `Dataset::utilities_into`) run the
+//! structure-of-arrays kernels in [`crate::soa`], which return the same
+//! index and value bits — same dot product, same scan order, same strict
+//! `>` tie-breaking.
 //!
 //! # Non-finite semantics
 //!
@@ -26,12 +27,11 @@
 //! [`TOP1_NAN_COUNTER`] warning counter (`scan.top1_nan`), which
 //! `trace-validate` treats as a hard failure. NaN in a *utility vector*
 //! is a caller bug and trips a `debug_assert`; NaN in the point buffer is
-//! tolerated under the semantics above. All backends (scalar, batched,
-//! SIMD, SoA, SoA-f32) agree bit-for-bit on these cases — pinned by
+//! tolerated under the semantics above. Every kernel (scalar, batched,
+//! SoA) agrees bit-for-bit on these cases — pinned by
 //! `tests/scan_backends.rs`.
 
-use crate::{simd, vector};
-use std::sync::atomic::{AtomicU8, Ordering};
+use crate::vector;
 
 /// Result of a top-1 scan for one utility vector.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -45,98 +45,6 @@ pub struct Top1 {
 /// Warning counter bumped when a utility vector's scan produced only
 /// NaN/`-inf` scores with at least one NaN (`trace-validate` fails on it).
 pub const TOP1_NAN_COUNTER: &str = "scan.top1_nan";
-
-/// Which kernel implementation `Dataset`-level scans dispatch to.
-///
-/// The process-wide default comes from the `ISRL_SCAN_BACKEND` environment
-/// variable (`auto` | `scalar` | `simd` | `soa` | `soa-f32`), read once on
-/// first use; [`set_scan_backend`] overrides it programmatically. All
-/// backends return bit-identical results, so the knob is purely a
-/// performance choice.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ScanBackend {
-    /// Pick the fastest exact backend: [`ScanBackend::Soa`] (its inner
-    /// axpy uses AVX2 when the CPU has it, portable unrolled loops
-    /// otherwise).
-    Auto,
-    /// Row-major blocked scan with the portable [`vector::dot`].
-    Scalar,
-    /// Row-major blocked scan with the runtime-detected [`simd::dot`].
-    Simd,
-    /// Column-major (structure-of-arrays) f64 scan ([`crate::soa::top1_soa`]).
-    Soa,
-    /// Column-major f32 scan with exact f64 candidate rescan
-    /// ([`crate::soa::top1_soa_f32`]). Opt-in: fastest on wide scans, but
-    /// the candidate pass degrades toward a full rescan on adversarially
-    /// close scores.
-    SoaF32,
-}
-
-impl ScanBackend {
-    /// Resolves [`ScanBackend::Auto`] to the concrete backend it selects.
-    #[inline]
-    pub fn resolve(self) -> ScanBackend {
-        match self {
-            ScanBackend::Auto => ScanBackend::Soa,
-            other => other,
-        }
-    }
-
-    fn encode(self) -> u8 {
-        match self {
-            ScanBackend::Auto => 0,
-            ScanBackend::Scalar => 1,
-            ScanBackend::Simd => 2,
-            ScanBackend::Soa => 3,
-            ScanBackend::SoaF32 => 4,
-        }
-    }
-
-    fn decode(v: u8) -> ScanBackend {
-        match v {
-            1 => ScanBackend::Scalar,
-            2 => ScanBackend::Simd,
-            3 => ScanBackend::Soa,
-            4 => ScanBackend::SoaF32,
-            _ => ScanBackend::Auto,
-        }
-    }
-}
-
-/// 255 = "not yet initialized from the environment".
-const BACKEND_UNSET: u8 = 255;
-static BACKEND: AtomicU8 = AtomicU8::new(BACKEND_UNSET);
-
-/// The process-wide scan backend (initializing from `ISRL_SCAN_BACKEND`
-/// on first call; unknown values warn on stderr and fall back to `Auto`).
-pub fn scan_backend() -> ScanBackend {
-    let raw = BACKEND.load(Ordering::Relaxed);
-    if raw != BACKEND_UNSET {
-        return ScanBackend::decode(raw);
-    }
-    let initial = match std::env::var("ISRL_SCAN_BACKEND") {
-        Ok(v) => match v.to_ascii_lowercase().as_str() {
-            "auto" | "" => ScanBackend::Auto,
-            "scalar" => ScanBackend::Scalar,
-            "simd" => ScanBackend::Simd,
-            "soa" => ScanBackend::Soa,
-            "soa-f32" | "soa_f32" | "f32" => ScanBackend::SoaF32,
-            other => {
-                eprintln!("warning: unknown ISRL_SCAN_BACKEND '{other}', using auto");
-                ScanBackend::Auto
-            }
-        },
-        Err(_) => ScanBackend::Auto,
-    };
-    BACKEND.store(initial.encode(), Ordering::Relaxed);
-    initial
-}
-
-/// Overrides the process-wide scan backend (e.g. from a CLI flag or a
-/// before/after benchmark). Takes effect for all subsequent scans.
-pub fn set_scan_backend(backend: ScanBackend) {
-    BACKEND.store(backend.encode(), Ordering::Relaxed);
-}
 
 /// Debug-build check that a utility vector is NaN-free (NaN utilities are
 /// caller bugs; NaN *points* take the documented sentinel path instead).
@@ -172,7 +80,7 @@ fn block_rows(dim: usize) -> usize {
 }
 
 /// The reference scalar scan: one pass over the buffer for one utility
-/// vector, first index wins ties. Every other backend is differential-
+/// vector, first index wins ties. Every other kernel is differential-
 /// tested against this.
 ///
 /// # Panics
@@ -199,14 +107,18 @@ pub fn top1_scalar(u: &[f64], points: &[f64], dim: usize) -> Top1 {
     best
 }
 
-/// Shared blocked row-major kernel, parameterized by the dot product so
-/// the portable and SIMD entry points stay one implementation.
-fn top1_batch_with<U: AsRef<[f64]>>(
-    utilities: &[U],
-    points: &[f64],
-    dim: usize,
-    dot: impl Fn(&[f64], &[f64]) -> f64,
-) -> Vec<Top1> {
+/// Top-1 point per utility vector over a row-major point buffer.
+///
+/// `points` holds `n = points.len() / dim` rows; every utility slice must
+/// have length `dim`. Returns one [`Top1`] per utility vector, in order.
+/// Equivalent to running [`top1_scalar`] per utility vector (first index
+/// wins ties), but with cache-blocked traversal. See the module docs for
+/// the NaN sentinel semantics.
+///
+/// # Panics
+/// Panics when the buffer is not a multiple of `dim`, when the buffer is
+/// empty, or when a utility vector's length differs from `dim`.
+pub fn top1_batch<U: AsRef<[f64]>>(utilities: &[U], points: &[f64], dim: usize) -> Vec<Top1> {
     assert!(dim > 0, "top1_batch needs a positive dimension");
     assert_eq!(points.len() % dim, 0, "point buffer length must be n * dim");
     assert!(!points.is_empty(), "top1_batch over an empty point buffer");
@@ -235,7 +147,7 @@ fn top1_batch_with<U: AsRef<[f64]>>(
         for (u, b) in utilities.iter().zip(best.iter_mut()) {
             let u = u.as_ref();
             for (row, p) in block.chunks_exact(dim).enumerate() {
-                let v = dot(p, u);
+                let v = vector::dot(p, u);
                 if v > b.value {
                     b.value = v;
                     b.index = base + row;
@@ -249,37 +161,15 @@ fn top1_batch_with<U: AsRef<[f64]>>(
     best
 }
 
-/// Top-1 point per utility vector over a row-major point buffer.
-///
-/// `points` holds `n = points.len() / dim` rows; every utility slice must
-/// have length `dim`. Returns one [`Top1`] per utility vector, in order.
-/// Equivalent to running [`top1_scalar`] per utility vector (first index
-/// wins ties), but with cache-blocked traversal. See the module docs for
-/// the NaN sentinel semantics.
+/// All dot products `points[i] · u`, appended to `out` (cleared first;
+/// reservation accounts for existing capacity, so a retained buffer is
+/// never re-grown). The single-utility companion of [`top1_batch`] for
+/// callers that need every score (top-k selection, sorting) rather than
+/// just the winner.
 ///
 /// # Panics
-/// Panics when the buffer is not a multiple of `dim`, when the buffer is
-/// empty, or when a utility vector's length differs from `dim`.
-pub fn top1_batch<U: AsRef<[f64]>>(utilities: &[U], points: &[f64], dim: usize) -> Vec<Top1> {
-    top1_batch_with(utilities, points, dim, vector::dot)
-}
-
-/// [`top1_batch`] with the runtime-feature-detected [`simd::dot`]
-/// (bit-identical results; faster per-row dot on AVX2 hardware).
-///
-/// # Panics
-/// As [`top1_batch`].
-pub fn top1_batch_simd<U: AsRef<[f64]>>(utilities: &[U], points: &[f64], dim: usize) -> Vec<Top1> {
-    top1_batch_with(utilities, points, dim, simd::dot)
-}
-
-fn row_dots_with(
-    points: &[f64],
-    dim: usize,
-    u: &[f64],
-    out: &mut Vec<f64>,
-    dot: impl Fn(&[f64], &[f64]) -> f64,
-) {
+/// Panics when the buffer is not a multiple of `dim` or `u.len() != dim`.
+pub fn row_dots(points: &[f64], dim: usize, u: &[f64], out: &mut Vec<f64>) {
     assert!(dim > 0, "row_dots needs a positive dimension");
     assert_eq!(points.len() % dim, 0, "point buffer length must be n * dim");
     assert_eq!(u.len(), dim, "utility vector dimension mismatch");
@@ -290,28 +180,7 @@ fn row_dots_with(
     if out.capacity() < n {
         out.reserve_exact(n);
     }
-    out.extend(points.chunks_exact(dim).map(|p| dot(p, u)));
-}
-
-/// All dot products `points[i] · u`, appended to `out` (cleared first;
-/// reservation accounts for existing capacity, so a retained buffer is
-/// never re-grown). The single-utility companion of [`top1_batch`] for
-/// callers that need every score (top-k selection, sorting) rather than
-/// just the winner.
-///
-/// # Panics
-/// Panics when the buffer is not a multiple of `dim` or `u.len() != dim`.
-pub fn row_dots(points: &[f64], dim: usize, u: &[f64], out: &mut Vec<f64>) {
-    row_dots_with(points, dim, u, out, vector::dot);
-}
-
-/// [`row_dots`] with the runtime-feature-detected [`simd::dot`]
-/// (bit-identical results).
-///
-/// # Panics
-/// As [`row_dots`].
-pub fn row_dots_simd(points: &[f64], dim: usize, u: &[f64], out: &mut Vec<f64>) {
-    row_dots_with(points, dim, u, out, simd::dot);
+    out.extend(points.chunks_exact(dim).map(|p| vector::dot(p, u)));
 }
 
 #[cfg(test)]
@@ -344,12 +213,10 @@ mod tests {
                 .map(|i| pseudo_points(1, dim, 1000 + i as u64))
                 .collect();
             let batched = top1_batch(&utilities, &points, dim);
-            let simd = top1_batch_simd(&utilities, &points, dim);
-            for ((u, b), s_) in utilities.iter().zip(&batched).zip(&simd) {
+            for (u, b) in utilities.iter().zip(&batched) {
                 let s = top1_scalar(u, &points, dim);
                 assert_eq!(b.index, s.index, "n={n} dim={dim}");
                 assert_eq!(b.value, s.value, "bit-exact value expected");
-                assert_eq!(*s_, s, "simd path n={n} dim={dim}");
             }
         }
     }
@@ -392,9 +259,6 @@ mod tests {
         for (i, p) in points.chunks_exact(dim).enumerate() {
             assert_eq!(out[i], vector::dot(p, &u));
         }
-        let mut out2 = Vec::new();
-        row_dots_simd(&points, dim, &u, &mut out2);
-        assert_eq!(out, out2);
     }
 
     #[test]
@@ -446,20 +310,5 @@ mod tests {
     #[should_panic(expected = "NaN in utility vector")]
     fn nan_utility_vector_is_a_caller_bug() {
         top1_batch(&[vec![f64::NAN, 1.0]], &[0.1, 0.2], 2);
-    }
-
-    #[test]
-    fn backend_knob_round_trips() {
-        assert_eq!(ScanBackend::Auto.resolve(), ScanBackend::Soa);
-        assert_eq!(ScanBackend::SoaF32.resolve(), ScanBackend::SoaF32);
-        for b in [
-            ScanBackend::Auto,
-            ScanBackend::Scalar,
-            ScanBackend::Simd,
-            ScanBackend::Soa,
-            ScanBackend::SoaF32,
-        ] {
-            assert_eq!(ScanBackend::decode(b.encode()), b);
-        }
     }
 }

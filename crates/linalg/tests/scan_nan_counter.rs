@@ -1,4 +1,4 @@
-//! NaN-sentinel warning-counter parity: every backend must bump
+//! NaN-sentinel warning-counter parity: every kernel must bump
 //! `scan.top1_nan` exactly once per degenerate utility (all scores NaN or
 //! `-inf`, at least one NaN) and never otherwise.
 //!
@@ -9,10 +9,7 @@
 //! its whole body — under the parallel harness one test's bumps would
 //! otherwise land in the other's before/after window.
 
-use isrl_linalg::{
-    scan::TOP1_NAN_COUNTER, top1_batch, top1_batch_simd, top1_scalar, top1_soa, top1_soa_f32,
-    SoaBuffer, Top1,
-};
+use isrl_linalg::{scan::TOP1_NAN_COUNTER, top1_batch, top1_scalar, top1_soa, SoaBuffer, Top1};
 use std::sync::{Mutex, MutexGuard};
 
 /// Serializes the tests of this binary (they share `scan.top1_nan`).
@@ -21,9 +18,9 @@ fn counter_lock() -> MutexGuard<'static, ()> {
     LOCK.lock().unwrap_or_else(|p| p.into_inner())
 }
 
-const BACKEND_NAMES: [&str; 5] = ["scalar", "batched", "batched-simd", "soa", "soa-f32"];
+const BACKEND_NAMES: [&str; 3] = ["scalar", "batched", "soa"];
 
-/// Runs exactly one backend (so counter deltas attribute cleanly).
+/// Runs exactly one kernel (so counter deltas attribute cleanly).
 fn run_backend(name: &str, utilities: &[Vec<f64>], points: &[f64], dim: usize) -> Vec<Top1> {
     match name {
         "scalar" => utilities
@@ -31,9 +28,7 @@ fn run_backend(name: &str, utilities: &[Vec<f64>], points: &[f64], dim: usize) -
             .map(|u| top1_scalar(u, points, dim))
             .collect(),
         "batched" => top1_batch(utilities, points, dim),
-        "batched-simd" => top1_batch_simd(utilities, points, dim),
         "soa" => top1_soa(utilities, &SoaBuffer::from_flat(points, dim)),
-        "soa-f32" => top1_soa_f32(utilities, &SoaBuffer::from_flat(points, dim), points),
         _ => unreachable!(),
     }
 }
