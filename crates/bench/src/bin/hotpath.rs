@@ -257,10 +257,10 @@ fn min_ms<F: FnMut()>(runs: usize, mut f: F) -> f64 {
         .fold(f64::INFINITY, f64::min)
 }
 
-/// Direct before/after timings of the two kernels this layer replaced:
-/// from-scratch vs incremental vertex enumeration on a deep region, and
-/// the scalar vs batched top-1 utility scan at the regret estimator's
-/// working size. The criterion benches measure the same pairs with proper
+/// Direct before/after timings of the kernels this layer replaced:
+/// from-scratch vs incremental vertex enumeration on a deep region, the
+/// scalar vs batched top-1 utility scan at the regret estimator's working
+/// size, and the full vs candidate-mirror scan at the serve shape. The criterion benches measure the same pairs with proper
 /// statistics; these rows make the artifact self-contained.
 fn kernel_before_after() -> Table {
     use isrl_geometry::{Halfspace, Polytope, Region};
@@ -352,6 +352,32 @@ fn kernel_before_after() -> Table {
         format!("{after:.2}"),
         format!("{soa_ms:.2}"),
         f2(after / soa_ms),
+    ]);
+
+    // The serve shape: an EA round's 95 utilities over the anti skyline at
+    // d = 4. `before_ms` scans every point (SoA), `after_ms` is
+    // `Dataset::top1_batch` over the certified top-1 candidate mirror,
+    // built outside the timed region.
+    let sky = skyline(&generate(100_000, 4, Distribution::AntiCorrelated, 1));
+    let utilities = sample_users(sky.dim(), 95, 12);
+    let kept = sky.top1_mirror().map_or(0, |m| m.len());
+    let full_ms = min_ms(50, || {
+        std::hint::black_box(isrl_linalg::top1_soa(&utilities, sky.soa()));
+    });
+    let mirror_ms = min_ms(50, || {
+        std::hint::black_box(sky.top1_batch(&utilities));
+    });
+    table.push_row(vec![
+        "top1_mirror".into(),
+        format!(
+            "n={} kept={kept} d={} k={}",
+            sky.len(),
+            sky.dim(),
+            utilities.len()
+        ),
+        format!("{full_ms:.4}"),
+        format!("{mirror_ms:.4}"),
+        f2(full_ms / mirror_ms),
     ]);
     table
 }

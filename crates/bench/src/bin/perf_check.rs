@@ -11,6 +11,10 @@
 //! * `scan.top1_soa` — the structure-of-arrays top-1 scan at the same
 //!   shape as `kernel.top1_batch` (n = 50k, d = 20, 32 utilities), the
 //!   scan every `Dataset` caller (serving, estimator) runs;
+//! * `scan.top1_mirror` — `Dataset::top1_batch` at the serve shape: 95
+//!   simplex utilities (an EA round's scan) over the anti-correlated
+//!   skyline of 100k points at d = 4, which scans the certified top-1
+//!   candidate mirror (built outside the timed region);
 //! * `lp.warm_replay` / `lp.cold_replay` — the warm-started vs cold LP
 //!   replay of a 15-cut sequence at d = 8 with candidate-cut probes;
 //! * `geom.cloud_cut` — building a d = 20 sample cloud and pushing a
@@ -168,6 +172,18 @@ fn scan_top1_soa() -> f64 {
     let soa = data.soa(); // mirror built outside the timed region
     bench(|| {
         black_box(isrl_linalg::top1_soa(&utilities, soa));
+    })
+}
+
+fn scan_top1_mirror() -> f64 {
+    let data = skyline(&generate(100_000, 4, Distribution::AntiCorrelated, 1));
+    let utilities = sample_users(data.dim(), 95, 12);
+    assert!(
+        data.top1_mirror().is_some(),
+        "the serve shape builds a mirror"
+    );
+    bench(|| {
+        black_box(data.top1_batch(&utilities));
     })
 }
 
@@ -429,6 +445,7 @@ fn main() {
     metrics.insert("kernel.top1_batch".into(), kernel_top1_batch());
     metrics.insert("kernel.dot".into(), kernel_dot());
     metrics.insert("scan.top1_soa".into(), scan_top1_soa());
+    metrics.insert("scan.top1_mirror".into(), scan_top1_mirror());
     let (warm, cold) = lp_replays();
     metrics.insert("lp.warm_replay".into(), warm);
     metrics.insert("lp.cold_replay".into(), cold);

@@ -16,11 +16,14 @@
 //! * the read-only `stats` frame — a live RED-metrics snapshot with its
 //!   documented sections, and a malformed `stats` request erroring
 //!   without collateral;
+//! * an over-long request line — a client streaming a megabyte with no
+//!   newline gets a `line_too_long` error frame and EOF, while a session
+//!   on another connection completes;
 //! * clean shutdown — a `shutdown` frame stops the server with exit 0
 //!   and the batch counters on stdout.
 
 use isrl_core::serving::protocol::write_frame;
-use std::io::{BufRead, BufReader, Read};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
@@ -477,5 +480,56 @@ fn stats_frame_snapshots_red_metrics_live() {
     );
 
     conn.send(r#"{"kind":"shutdown"}"#);
+    server.wait();
+}
+
+#[test]
+fn oversized_line_gets_an_error_frame_and_eof_without_collateral() {
+    let ckpt = train_ckpt("oversized");
+    let (server, port) = Server::start(&ckpt, "oversized");
+
+    // A live session on its own connection, paused at its first question.
+    let mut live = Conn::open(port);
+    live.send(&hello(9));
+    let mut line = live.recv();
+    assert_eq!(kind_of(&line), "question");
+    let sid = field_u64(&line, "session");
+
+    // 1 MiB with no newline, from a helper thread: the server stops
+    // buffering long before the end of it.
+    let mut hostile = Conn::open(port);
+    let mut flood = hostile.writer.try_clone().unwrap();
+    let flooder = std::thread::spawn(move || {
+        let _ = flood.write_all(&vec![b'x'; 1 << 20]);
+    });
+    let resp = hostile.recv();
+    assert_eq!(kind_of(&resp), "error", "over-long line: {resp}");
+    assert!(resp.contains("\"code\":\"line_too_long\""), "code: {resp}");
+    let mut rest = String::new();
+    let n = hostile
+        .reader
+        .read_line(&mut rest)
+        .expect("read after the error frame");
+    assert_eq!(n, 0, "expected EOF after the error frame, got {rest:?}");
+    flooder.join().unwrap();
+
+    // The paused session answers through to done.
+    loop {
+        match kind_of(&line) {
+            "done" => break,
+            "question" => {
+                live.send(&answer(sid, field_u64(&line, "round"), 1));
+                line = live.recv();
+            }
+            other => panic!("unexpected {other} frame: {line}"),
+        }
+    }
+
+    // The error is broken out by kind.
+    live.send(r#"{"kind":"stats"}"#);
+    let snap = live.recv();
+    assert!(snap.contains("\"line_too_long\":1"), "error kinds: {snap}");
+
+    live.send(r#"{"kind":"shutdown"}"#);
     server.wait();
 }

@@ -24,19 +24,22 @@ use isrl_linalg::vector;
 /// `true` iff `u` lies in the terminal polyhedron `T_i` anchored at point
 /// `i` (Lemma 4): `u · (p_i − (1 − ε) p_j) > 0` for every other point `j`.
 /// Exits on the first violated ε-hyperplane.
+///
+/// For `ε ∈ [0, 1]` and a utility eligible for the dataset's top-1
+/// candidate mirror, only the mirror's points are checked, with the same
+/// verdict. A dropped point `p_j` scores strictly below some kept point
+/// `p_w` in f64, and every score is `≥ 0`. If `w ≠ i`, rounding is
+/// monotone, so `(1 − ε)·u·p_w ≥ (1 − ε)·u·p_j` and `p_w` violates
+/// whenever `p_j` does. If `w = i`, then `(1 − ε)·u·p_j ≤ u·p_j < u·p_i`,
+/// so `p_j` cannot violate.
 pub fn in_terminal_polyhedron(data: &Dataset, i: usize, u: &[f64], eps: f64) -> bool {
-    let p_i = data.point(i);
-    let base = vector::dot(u, p_i);
+    let base = vector::dot(u, data.point(i));
     let scale = 1.0 - eps;
-    for (j, p_j) in data.iter().enumerate() {
-        if j == i {
-            continue;
-        }
-        if base - scale * vector::dot(u, p_j) <= 0.0 {
-            return false;
-        }
+    let violates = |j: usize| j != i && base - scale * vector::dot(u, data.point(j)) <= 0.0;
+    match data.top1_candidates(u) {
+        Some(ids) if (0.0..=1.0).contains(&eps) => !ids.iter().any(|&j| violates(j)),
+        _ => !(0..data.len()).any(violates),
     }
-    true
 }
 
 /// The anchor points `P_R` of the terminal polyhedrons constructed from the

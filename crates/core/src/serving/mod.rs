@@ -37,5 +37,5 @@ pub use answer::{choice_from_number, parse_choice};
 pub use loadgen::{run_loadgen, LoadgenConfig, LoadgenReport};
 pub use policy::{AlgoKind, ServePolicy};
 pub use registry::{BatchStats, SessionRegistry};
-pub use server::{spawn_server, ServerConfig, ServerHandle, ServerStats};
+pub use server::{spawn_server, ServerConfig, ServerHandle, ServerStats, MAX_LINE_BYTES};
 pub use session::{ServeError, ServeSession};

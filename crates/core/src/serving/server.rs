@@ -28,7 +28,7 @@
 //! the zero-instrumentation fast path.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::io::{BufRead, BufReader};
+use std::io::{BufRead, BufReader, Read};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
@@ -39,12 +39,24 @@ use std::time::{Duration, Instant};
 use crate::serving::protocol::{write_frame, ClientFrame, ServerFrame};
 use crate::serving::{BatchStats, ServePolicy, SessionRegistry};
 use isrl_data::Dataset;
+use isrl_geometry::top1_mirror::MIRROR_POINTS_GAUGE;
 use isrl_obs::json::Json;
 use isrl_obs::{FlightRecord, FlightRecorder, RollingSketch};
 
 /// Cap on requests taken into one micro-batch, so a flood of queued
 /// traffic cannot hold its first frames back indefinitely.
 const MAX_DRAIN: usize = 256;
+
+/// Longest request line a reader thread buffers (protocol frames are a
+/// few hundred bytes); a longer line ends its connection with a
+/// `line_too_long` error frame.
+pub const MAX_LINE_BYTES: usize = 64 * 1024;
+
+/// After an over-long line, the most bytes drained before the socket is
+/// closed, and the longest wait for each read while draining. Draining
+/// lets the client read the error frame instead of a reset.
+const DRAIN_BYTES: u64 = 4 << 20;
+const DRAIN_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// Reactor knobs.
 #[derive(Debug, Clone)]
@@ -106,6 +118,9 @@ enum Msg {
     Line(u64, String),
     /// A connection's reader hit EOF or an error.
     Closed(u64),
+    /// A connection sent a line over [`MAX_LINE_BYTES`]; its reader
+    /// forwards nothing more.
+    TooLong(u64),
     /// Stop serving ([`ServerHandle::shutdown`]).
     Stop,
 }
@@ -142,12 +157,17 @@ impl ServerHandle {
 }
 
 /// Binds `cfg.addr` and spawns the reactor over the given dataset and
-/// policies. Returns once the listener is live.
+/// policies. Returns once the listener is live. The dataset's lazily built
+/// scan mirrors (the column mirror and the top-1 candidate mirror) are
+/// built first, so the first `hello` never waits out a build.
 pub fn spawn_server(
     data: Arc<Dataset>,
     policies: Vec<Arc<ServePolicy>>,
     cfg: ServerConfig,
 ) -> std::io::Result<ServerHandle> {
+    if let Some(mirror) = data.top1_mirror() {
+        isrl_obs::gauge_set(MIRROR_POINTS_GAUGE, mirror.len() as u64);
+    }
     let listener = TcpListener::bind(&cfg.addr)?;
     let addr = listener.local_addr()?;
     let (tx, rx) = channel::<Msg>();
@@ -200,17 +220,47 @@ fn accept_loop(listener: TcpListener, tx: Sender<Msg>, stop: Arc<AtomicBool>) {
             return;
         }
         let tx = tx.clone();
-        std::thread::spawn(move || {
-            let reader = BufReader::new(stream);
-            for line in reader.lines() {
-                let Ok(line) = line else { break };
-                if tx.send(Msg::Line(conn, line)).is_err() {
-                    return;
-                }
-            }
-            let _ = tx.send(Msg::Closed(conn));
-        });
+        std::thread::spawn(move || read_lines(conn, stream, tx));
     }
+}
+
+/// A connection's reader thread: forwards each line to the core. A line
+/// longer than [`MAX_LINE_BYTES`] is never buffered whole: the core is
+/// told (it answers `line_too_long` and shuts the connection's write
+/// side), the rest of the client's bytes are drained — at most
+/// [`DRAIN_BYTES`], for at most [`DRAIN_TIMEOUT`] per read — and the
+/// socket is closed.
+fn read_lines(conn: u64, stream: TcpStream, tx: Sender<Msg>) {
+    let mut reader = BufReader::new(stream);
+    let mut buf = Vec::new();
+    loop {
+        buf.clear();
+        let limit = MAX_LINE_BYTES as u64 + 1;
+        match (&mut reader).take(limit).read_until(b'\n', &mut buf) {
+            Ok(0) | Err(_) => break,
+            Ok(_) if buf.last() != Some(&b'\n') && buf.len() > MAX_LINE_BYTES => {
+                if tx.send(Msg::TooLong(conn)).is_ok() {
+                    let _ = reader.get_ref().set_read_timeout(Some(DRAIN_TIMEOUT));
+                    let _ = std::io::copy(&mut reader.take(DRAIN_BYTES), &mut std::io::sink());
+                }
+                return;
+            }
+            Ok(_) => {}
+        }
+        if buf.last() == Some(&b'\n') {
+            buf.pop();
+            if buf.last() == Some(&b'\r') {
+                buf.pop();
+            }
+        }
+        let Ok(line) = String::from_utf8(std::mem::take(&mut buf)) else {
+            break;
+        };
+        if tx.send(Msg::Line(conn, line)).is_err() {
+            return;
+        }
+    }
+    let _ = tx.send(Msg::Closed(conn));
 }
 
 /// One request accepted this batch, owing its connection a frame.
@@ -331,20 +381,36 @@ impl Core {
                 self.conns_opened += 1;
                 self.writers.insert(conn, stream);
             }
-            Msg::Closed(conn) => {
-                self.writers.remove(&conn);
-                let orphaned: Vec<u64> = self
-                    .owner
-                    .iter()
-                    .filter(|&(_, &c)| c == conn)
-                    .map(|(&sid, _)| sid)
-                    .collect();
-                for sid in orphaned {
-                    self.drop_session(sid);
+            Msg::Closed(conn) => self.close_conn(conn),
+            Msg::TooLong(conn) => {
+                self.error(
+                    conn,
+                    None,
+                    None,
+                    "line_too_long",
+                    format!("request line exceeds {MAX_LINE_BYTES} bytes"),
+                );
+                if let Some(stream) = self.writers.get(&conn) {
+                    let _ = stream.shutdown(Shutdown::Write);
                 }
+                self.close_conn(conn);
             }
             Msg::Line(conn, line) => self.handle_line(conn, &line),
             Msg::Stop => self.stopping = true,
+        }
+    }
+
+    /// Forgets a connection's writer and drops every session it owned.
+    fn close_conn(&mut self, conn: u64) {
+        self.writers.remove(&conn);
+        let orphaned: Vec<u64> = self
+            .owner
+            .iter()
+            .filter(|&(_, &c)| c == conn)
+            .map(|(&sid, _)| sid)
+            .collect();
+        for sid in orphaned {
+            self.drop_session(sid);
         }
     }
 

@@ -6,9 +6,12 @@
 //! stream linearly through memory — those scans dominate per-round cost for
 //! the EA terminal machinery and every baseline. A column-major
 //! (structure-of-arrays) mirror is built lazily on first use so the batched
-//! scans can stream each dimension contiguously (see
-//! [`Dataset::top1_batch`] and DESIGN.md §15).
+//! scans can stream each dimension contiguously, and so is the certified
+//! top-1 candidate mirror — the points that can win for some nonnegative
+//! utility — that [`Dataset::top1_batch`] scans instead of every point
+//! (see DESIGN.md §15).
 
+use isrl_geometry::Top1Mirror;
 use isrl_linalg::{vector, SoaBuffer};
 use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
@@ -23,6 +26,9 @@ pub struct Dataset {
     attributes: Vec<String>,
     /// Lazily-built column-major mirror backing the batched scans.
     soa: OnceLock<SoaBuffer>,
+    /// Lazily-built top-1 candidate mirror (`None` where the build rule
+    /// declines it).
+    top1_mirror: OnceLock<Option<Top1Mirror>>,
 }
 
 impl Dataset {
@@ -42,6 +48,7 @@ impl Dataset {
             data,
             attributes: Vec::new(),
             soa: OnceLock::new(),
+            top1_mirror: OnceLock::new(),
         }
     }
 
@@ -57,6 +64,7 @@ impl Dataset {
             data,
             attributes: Vec::new(),
             soa: OnceLock::new(),
+            top1_mirror: OnceLock::new(),
         }
     }
 
@@ -153,21 +161,47 @@ impl Dataset {
             .get_or_init(|| SoaBuffer::from_flat(&self.data, self.dim))
     }
 
+    /// The certified top-1 candidate mirror, built on first use (inside a
+    /// `top1_mirror` span) and retained for the dataset's lifetime; `None`
+    /// where its fixed build rule says it cannot pay (d above
+    /// `GeometryBackend::AUTO_EXACT_MAX_DIM`, non-finite or negative
+    /// coordinates, or more than half the points kept). See
+    /// [`isrl_geometry::top1_mirror`].
+    pub fn top1_mirror(&self) -> Option<&Top1Mirror> {
+        self.top1_mirror
+            .get_or_init(|| Top1Mirror::build(&self.data, self.dim, self.soa()))
+            .as_ref()
+    }
+
+    /// The only points that can be top-1 under `u`: the mirror's
+    /// ascending ids when a mirror exists and `u` is eligible for it
+    /// (finite, nonnegative, non-vanishing sum). Every point left out
+    /// scores strictly below some listed point in f64, and every score is
+    /// `≥ 0`. `None` means "every point".
+    pub fn top1_candidates(&self, u: &[f64]) -> Option<&[usize]> {
+        self.top1_mirror()?.candidates(u)
+    }
+
     /// Top-1 point per utility vector in one cache-blocked pass over the
     /// point buffer. Identical results to calling
     /// [`Dataset::argmax_utility`] / [`Dataset::max_utility`] per vector,
     /// but the buffer is streamed once instead of once per vector.
     ///
-    /// Runs [`isrl_linalg::top1_soa`] over the column mirror; its results
-    /// are bit-identical to the row-major [`isrl_linalg::top1_batch`]
-    /// reference. This is the scan entry point for the max-regret
-    /// estimator, EA terminal/candidate scans, and `SessionRegistry`'s
-    /// coalesced serve batches.
+    /// Runs [`isrl_linalg::top1_soa`] over the top-1 candidate mirror for
+    /// every eligible utility and over the full column mirror for the rest
+    /// (and everywhere when no candidate mirror is built); either way the
+    /// index and value bits are those of the row-major
+    /// [`isrl_linalg::top1_batch`] reference. This is the scan entry point
+    /// for the max-regret estimator, EA terminal/candidate scans, and
+    /// `SessionRegistry`'s coalesced serve batches.
     ///
     /// # Panics
     /// Panics on an empty dataset or a utility-vector dimension mismatch.
     pub fn top1_batch<U: AsRef<[f64]>>(&self, utilities: &[U]) -> Vec<isrl_linalg::Top1> {
-        isrl_linalg::top1_soa(utilities, self.soa())
+        match self.top1_mirror() {
+            Some(mirror) => mirror.top1_batch(utilities, self.soa()),
+            None => isrl_linalg::top1_soa(utilities, self.soa()),
+        }
     }
 
     /// Every point's utility w.r.t. `u`, written into `out` (cleared
@@ -195,6 +229,7 @@ impl Dataset {
             data,
             attributes: self.attributes.clone(),
             soa: OnceLock::new(),
+            top1_mirror: OnceLock::new(),
         }
     }
 

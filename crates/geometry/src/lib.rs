@@ -20,7 +20,9 @@
 //! * [`sampling`] — simplex and region sampling (Lemma 5);
 //! * [`walk`] — the incrementally-maintained hit-and-run sample cloud
 //!   behind the sampled geometry backend (EA at `d ≥ 20`);
-//! * [`hull`] — dominance and a planar convex hull for the baselines.
+//! * [`hull`] — dominance and a planar convex hull for the baselines;
+//! * [`top1_mirror`] — the certified convex-skyline mirror that
+//!   `Dataset::top1_batch` scans instead of every point.
 //!
 //! ```
 //! use isrl_geometry::{Halfspace, Polytope, Region};
@@ -49,6 +51,7 @@ pub mod region;
 pub mod region_geometry;
 pub mod sampling;
 pub mod sphere;
+pub mod top1_mirror;
 pub mod walk;
 
 pub use hyperplane::{Halfspace, Side};
@@ -58,4 +61,5 @@ pub use rectangle::Rectangle;
 pub use region::{Region, RegionLpCache};
 pub use region_geometry::{GeometryBackend, RegionGeometry};
 pub use sphere::{min_enclosing_sphere, EnclosingSphereParams, Sphere};
+pub use top1_mirror::Top1Mirror;
 pub use walk::{SampleCloud, WalkConfig};

@@ -6,13 +6,17 @@
 //! baselines reduce to small dense LPs over the utility simplex: at most
 //! `d + 1` variables and a few dozen rows. This module provides a two-phase
 //! dense primal simplex solver sized exactly for that regime, plus a
-//! builder ([`LpBuilder`]) for assembling problems row by row.
+//! builder ([`LpBuilder`]) for assembling problems row by row, and the
+//! column-generating margin LP behind the top-1 candidate mirror
+//! ([`crate::top1_mirror`]).
 
 mod builder;
+mod margin;
 mod simplex;
 mod warm;
 
 pub use builder::LpBuilder;
+pub(crate) use margin::{margin_certificate, Margin, MarginColumns};
 pub use simplex::solve;
 pub use warm::solve_warm;
 
